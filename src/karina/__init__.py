@@ -8,6 +8,7 @@ metrics, gridded data handling, autoregressive rollout, and a CLI.
 
 from karina import (
     cli,
+    config,
     data,
     engine,
     layers,
@@ -20,6 +21,7 @@ from karina import (
 
 __all__ = [
     "cli",
+    "config",
     "data",
     "engine",
     "layers",

@@ -12,7 +12,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .data import (
     static_channel_mask,
     write_grid,
 )
+from .config import format_text, parse_text, parse_value, type_name
 from .metrics import (
     MetricsError,
     MetricSample,
@@ -37,6 +38,8 @@ from .metrics import (
     fit_climatology,
     latitude_weights,
     metrics_to_csv,
+    row_weights,
+    weighted_moments,
     weighted_rmse,
 )
 from .model import ModelConfig, ModelError, build, load_checkpoint, save_checkpoint
@@ -61,78 +64,51 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # config schema
 
-def _parse_bool(raw):
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ValueError(f"expected true or false, got {raw!r}")
+# dataclass fields that are not section keys: seed is the top-level key
+# and n_days is the sum of the data splits
+_NOT_KEYS = ("seed", "n_days")
 
+# the dataclass behind each section; every other field is a section key
+SECTIONS = {"synth": SyntheticSpec, "model": ModelConfig, "train": TrainConfig}
 
-def _parse_ints(raw):
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of integers")
-    return tuple(int(p) for p in parts)
-
-
-def _format_bool(v):
-    return "true" if v else "false"
-
-
-def _format_ints(v):
-    return ",".join(str(int(e)) for e in v)
-
-
-# parser/formatter pairs; formatters must round-trip through the parser
-_TYPES = {
-    "int": (int, str),
-    "float": (float, repr),
-    "bool": (_parse_bool, _format_bool),
-    "str": (lambda raw: raw, lambda v: v),
-    "ints": (_parse_ints, _format_ints),
+# CLI defaults that differ from the dataclass defaults.  model.in_channels
+# and out_channels of 0 mean "match the data"; the inferred value is
+# written to the resolved config.
+_CLI_DEFAULTS = {
+    "model.in_channels": 0,
+    "model.out_channels": 0,
+    "model.stage_dims": (8, 16),
+    "model.depths": (1, 1),
+    "synth.tilt_deg": 90.0,
 }
 
-# key -> (type name, default).  model.in_channels/out_channels of 0 mean
-# "match the data"; the inferred value is written to the resolved config.
+
+def _section_fields(section):
+    return [f for f in fields(SECTIONS[section]) if f.name not in _NOT_KEYS]
+
+
+def _section_schema():
+    out = {}
+    for section in SECTIONS:
+        for f in _section_fields(section):
+            key = f"{section}.{f.name}"
+            out[key] = (type_name(f), _CLI_DEFAULTS.get(key, f.default))
+    return out
+
+
+# key -> (CODEC type name, default)
 SCHEMA = {
     "seed": ("int", 0),
     "data.path": ("str", ""),
     "data.train_days": ("int", 60),
     "data.val_days": ("int", 0),
     "data.test_days": ("int", 20),
-    "synth.n_blob_channels": ("int", 2),
-    "synth.tilt_deg": ("float", 90.0),
-    "synth.speed_deg_per_day": ("float", 15.0),
-    "synth.blob_width_deg": ("float", 20.0),
-    "synth.noise": ("float", 0.0),
-    "synth.n_lat": ("int", 24),
-    "synth.n_lon": ("int", 48),
-    "synth.start_day": ("int", 0),
-    "model.in_channels": ("int", 0),
-    "model.out_channels": ("int", 0),
-    "model.stage_dims": ("ints", (8, 16)),
-    "model.depths": ("ints", (1, 1)),
-    "model.stem_kernel": ("int", 3),
-    "model.padding_mode": ("str", "geocyclic"),
-    "model.se_enabled": ("bool", True),
-    "model.reduction_ratio": ("int", 4),
-    "model.layer_scale_init": ("float", 1e-6),
-    "model.drop_path_rate": ("float", 0.0),
-    "train.lr": ("float", 1e-3),
-    "train.lr_min": ("float", 0.0),
-    "train.epochs": ("int", 150),
-    "train.weight_decay": ("float", 0.05),
-    "train.batch_size": ("int", 16),
-    "train.loss": ("str", "l2"),
-    "train.schedule": ("str", "cosine"),
-    "train.lat_weighted_loss": ("bool", False),
-    "train.exclude_static_loss": ("bool", False),
+    **_section_schema(),
     "finetune.checkpoint": ("str", ""),
     "finetune.phases": ("str", "0,12:0.005;0,6,12,18:0.0025;all:0.0001"),
     "eval.checkpoint": ("str", ""),
     "eval.model": ("str", "checkpoint"),
-    "eval.leads": ("ints", (1, 3, 5, 7)),
+    "eval.leads": ("tuple", (1, 3, 5, 7)),
     "eval.acc": ("str", "auto"),
     "eval.harmonics": ("int", 2),
     "eval.weighted": ("bool", True),
@@ -142,38 +118,22 @@ SCHEMA = {
     "rollout.init_day": ("int", -1),
     "rollout.static_reset": ("bool", True),
     "rollout.single_file": ("bool", False),
-    "ablate.leads": ("ints", (1, 3, 5, 7)),
+    "ablate.leads": ("tuple", (1, 3, 5, 7)),
     "ablate.include_circular": ("bool", False),
     "ablate.kernel_sweep": ("bool", False),
     "ablate.polar_rows": ("int", 5),
 }
+_TYPES = {key: kind for key, (kind, _) in SCHEMA.items()}
 
 
 def default_config():
     return {key: default for key, (_, default) in SCHEMA.items()}
 
 
-def _apply(cfg, key, raw, where):
-    if key not in SCHEMA:
-        raise CliError(f"unknown config key {key!r} ({where})")
-    parser, _ = _TYPES[SCHEMA[key][0]]
-    try:
-        cfg[key] = parser(raw)
-    except ValueError as err:
-        raise CliError(f"bad value for {key} ({where}): {err}") from None
-
-
 def parse_config_text(text, cfg=None, where="config"):
     """Apply key=value lines onto a config dict; '#' starts a comment."""
     cfg = default_config() if cfg is None else cfg
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, raw = line.partition("=")
-        if not sep:
-            raise CliError(f"{where} line {lineno} is not key=value: {line!r}")
-        _apply(cfg, key.strip(), raw.strip(), f"{where} line {lineno}")
+    cfg.update(parse_text(text, _TYPES, where, CliError))
     return cfg
 
 
@@ -188,18 +148,15 @@ def load_config(config_path=None, sets=(), seed=None):
         key, sep, raw = item.partition("=")
         if not sep:
             raise CliError(f"--set expects key=value, got {item!r}")
-        _apply(cfg, key.strip(), raw.strip(), "--set")
+        key = key.strip()
+        cfg[key] = parse_value(_TYPES, key, raw.strip(), "--set", CliError)
     if seed is not None:
         cfg["seed"] = int(seed)
     return cfg
 
 
 def resolved_text(cfg):
-    lines = []
-    for key in sorted(SCHEMA):
-        _, fmt = _TYPES[SCHEMA[key][0]]
-        lines.append(f"{key}={fmt(cfg[key])}")
-    return "\n".join(lines) + "\n"
+    return format_text(cfg, _TYPES)
 
 
 def _write_resolved(cfg, out_dir):
@@ -256,18 +213,7 @@ def _load_bundle(cfg):
                     f"splits need {tr + va + te} days, data.path holds {gf.n_time}"
                 )
         else:
-            spec = SyntheticSpec(
-                n_days=tr + va + te,
-                seed=cfg["seed"],
-                n_blob_channels=cfg["synth.n_blob_channels"],
-                tilt_deg=cfg["synth.tilt_deg"],
-                speed_deg_per_day=cfg["synth.speed_deg_per_day"],
-                blob_width_deg=cfg["synth.blob_width_deg"],
-                noise=cfg["synth.noise"],
-                n_lat=cfg["synth.n_lat"],
-                n_lon=cfg["synth.n_lon"],
-                start_day=cfg["synth.start_day"],
-            )
+            spec = _section_config(cfg, "synth", n_days=tr + va + te, seed=cfg["seed"])
             gf = generate_synthetic(spec)
     except DataError as err:
         raise CliError(str(err)) from err
@@ -299,45 +245,25 @@ def _resolve_channels(cfg, bundle):
         )
 
 
-def _model_config(cfg):
+def _validated(config):
+    """config.validate(), with its error turned into a CliError."""
     try:
-        return ModelConfig(
-            in_channels=cfg["model.in_channels"],
-            out_channels=cfg["model.out_channels"],
-            stage_dims=cfg["model.stage_dims"],
-            depths=cfg["model.depths"],
-            stem_kernel=cfg["model.stem_kernel"],
-            padding_mode=cfg["model.padding_mode"],
-            se_enabled=cfg["model.se_enabled"],
-            reduction_ratio=cfg["model.reduction_ratio"],
-            layer_scale_init=cfg["model.layer_scale_init"],
-            drop_path_rate=cfg["model.drop_path_rate"],
-        ).validate()
-    except ModelError as err:
+        return config.validate()
+    except (DataError, ModelError, TrainingError) as err:
         raise CliError(str(err)) from err
 
 
-def _train_config(cfg):
-    try:
-        return TrainConfig(
-            lr=cfg["train.lr"],
-            epochs=cfg["train.epochs"],
-            weight_decay=cfg["train.weight_decay"],
-            batch_size=cfg["train.batch_size"],
-            lr_min=cfg["train.lr_min"],
-            loss=cfg["train.loss"],
-            schedule=cfg["train.schedule"],
-            seed=cfg["seed"],
-        ).validate()
-    except TrainingError as err:
-        raise CliError(str(err)) from err
+def _section_config(cfg, section, **extra):
+    """The section's dataclass from its keys plus the extra fields, validated."""
+    values = {f.name: cfg[f"{section}.{f.name}"] for f in _section_fields(section)}
+    return _validated(SECTIONS[section](**values, **extra))
 
 
-def _loss_weights(cfg, bundle):
+def _loss_weights(tcfg, bundle):
     w = None
-    if cfg["train.lat_weighted_loss"]:
+    if tcfg.lat_weighted_loss:
         w = latitude_weights(bundle.train.grid).astype(np.float32)[:, None]
-    if cfg["train.exclude_static_loss"]:
+    if tcfg.exclude_static_loss:
         mask = (~bundle.static_mask).astype(np.float32)[:, None, None]
         if not mask.any():
             raise CliError("every channel is static; nothing is left to fit")
@@ -399,18 +325,12 @@ def _acc_usable_channels(test, stats, clim, weighted, leads):
     ACC is undefined and they drop out of the report.  The floor is
     relative: anomaly spread below 1e-4 of the channel scale is
     float32 storage noise, not weather."""
-    grid = test.grid
-    if weighted:
-        w = latitude_weights(grid)[None, :, None]
-    else:
-        w = np.ones((1, 1, 1))
-    n = grid.n_lat * grid.n_lon
+    w = row_weights(test.grid, weighted)
     floor = (1e-4 * np.maximum(np.abs(stats.mean), stats.std)) ** 2
     usable = np.ones(len(test.channels), dtype=bool)
     for k in range(min(leads), test.n_time):
         anom = test.values[k].astype(np.float64) - clim.evaluate(float(test.dates[k]))
-        mean = (w * anom).sum(axis=(-2, -1)) / n
-        var = (w * (anom - mean[:, None, None]) ** 2).sum(axis=(-2, -1)) / n
+        _, _, var = weighted_moments(anom, w)
         usable &= var > floor
     return usable
 
@@ -503,10 +423,11 @@ def _validated_leads(cfg, key):
 def cmd_train(cfg, out_dir):
     bundle = _load_bundle(cfg)
     _resolve_channels(cfg, bundle)
+    tcfg = _section_config(cfg, "train", seed=cfg["seed"])
+    weights = _loss_weights(tcfg, bundle)
+    mcfg = _section_config(cfg, "model")
     _write_resolved(cfg, out_dir)
-    tcfg = _train_config(cfg)
-    weights = _loss_weights(cfg, bundle)
-    model = build(_model_config(cfg), seed=cfg["seed"])
+    model = build(mcfg, seed=cfg["seed"])
     pairs = FileSource(bundle.train, bundle.stats).pairs()
     val_pairs = None
     if bundle.val is not None:
@@ -551,9 +472,9 @@ def cmd_finetune(cfg, out_dir):
     _resolve_channels(cfg, bundle)
     model = _load_model(cfg, "finetune.checkpoint", bundle)
     phases = _parse_phases(cfg["finetune.phases"])
+    tcfg = _section_config(cfg, "train", seed=cfg["seed"])
+    weights = _loss_weights(tcfg, bundle)
     _write_resolved(cfg, out_dir)
-    tcfg = _train_config(cfg)
-    weights = _loss_weights(cfg, bundle)
     if bundle.spec is not None:
         # restrict the generator to the training window; the analytic
         # fields for those days are identical under the shorter spec
@@ -734,15 +655,24 @@ def cmd_ablate(cfg, out_dir):
     polar_rows = cfg["ablate.polar_rows"]
     if polar_rows < 1:
         raise CliError(f"ablate.polar_rows must be positive, got {polar_rows}")
-    _write_resolved(cfg, out_dir)
-    tcfg = _train_config(cfg)
-    weights = _loss_weights(cfg, bundle)
-    base = _model_config(cfg)
-    pairs = FileSource(bundle.train, bundle.stats).pairs()
-
-    variants = list(ABLATION_VARIANTS)
+    tcfg = _section_config(cfg, "train", seed=cfg["seed"])
+    weights = _loss_weights(tcfg, bundle)
+    base = _section_config(cfg, "model")
+    runs = list(ABLATION_VARIANTS)
     if cfg["ablate.include_circular"]:
-        variants.append(("circular_senet", "circular_zero_pole", True))
+        runs.append(("circular_senet", "circular_zero_pole", True))
+    variants = [
+        (tag, _validated(replace(base, padding_mode=mode, se_enabled=se)))
+        for tag, mode, se in runs
+    ]
+    kernels = (3, 5, 7) if cfg["ablate.kernel_sweep"] else ()
+    sweep = [
+        (str(k), _validated(replace(base, stem_kernel=k, padding_mode="geocyclic",
+                                    se_enabled=True)))
+        for k in kernels
+    ]
+    _write_resolved(cfg, out_dir)
+    pairs = FileSource(bundle.train, bundle.stats).pairs()
 
     def train_and_score(config):
         model = build(config, seed=cfg["seed"])
@@ -754,29 +684,21 @@ def cmd_ablate(cfg, out_dir):
 
     rows = []
     day3 = {}
-    for tag, padding_mode, se_enabled in variants:
-        try:
-            config = replace(base, padding_mode=padding_mode,
-                             se_enabled=se_enabled).validate()
-        except ModelError as err:
-            raise CliError(str(err)) from err
+    for tag, config in variants:
         scores = train_and_score(config)
         rows.extend(_variant_rows(tag, scores))
         probe = 3 if 3 in leads else leads[0]
         day3[tag] = float(scores.rmse[probe][0])
     _write_variant_csv(rows, "variant", os.path.join(out_dir, "ablation.csv"))
 
-    if cfg["ablate.kernel_sweep"]:
+    if sweep:
         sweep_rows = []
-        for k in (3, 5, 7):
-            config = replace(base, stem_kernel=k, padding_mode="geocyclic",
-                             se_enabled=True).validate()
-            scores = train_and_score(config)
-            sweep_rows.extend(_variant_rows(str(k), scores))
+        for tag, config in sweep:
+            sweep_rows.extend(_variant_rows(tag, train_and_score(config)))
         _write_variant_csv(sweep_rows, "kernel",
                            os.path.join(out_dir, "kernel_sweep.csv"))
 
-    ordering = " ".join(f"{tag}={day3[tag]:.6g}" for tag, _, _ in variants)
+    ordering = " ".join(f"{tag}={day3[tag]:.6g}" for tag, _ in variants)
     print(f"ablation over {len(variants)} variants, {tcfg.epochs} epochs each; "
           f"first-channel rmse: {ordering}")
     return 0

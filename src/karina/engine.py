@@ -62,10 +62,6 @@ def no_grad():
         _recording = prev
 
 
-def recording_enabled():
-    return _recording
-
-
 def _check_finite(arr, op):
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"non-finite values in output of {op}")

@@ -36,6 +36,23 @@ def latitude_weights(grid):
     return cos / cos.mean()
 
 
+def row_weights(grid, weighted=True):
+    """(1, lat, 1) weights to multiply fields by: latitude weights, or ones."""
+    if weighted:
+        return latitude_weights(grid)[None, :, None]
+    return np.ones((1, 1, 1))
+
+
+def weighted_moments(x, w):
+    """Per-channel spatial mean, centered field and variance of a float64
+    (channel, lat, lon) field under row weights w that average to 1."""
+    n = x.shape[-2] * x.shape[-1]
+    mean = (w * x).sum(axis=(-2, -1)) / n
+    centered = x - mean[:, None, None]
+    var = (w * centered * centered).sum(axis=(-2, -1)) / n
+    return mean, centered, var
+
+
 def _as_channels(a):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 2:
@@ -83,10 +100,7 @@ def weighted_rmse(sample, weighted=True):
     t, _ = _as_channels(sample.truth)
     _require_finite(f, "forecast")
     _require_finite(t, "truth")
-    if weighted:
-        w = latitude_weights(sample.grid)[None, :, None]
-    else:
-        w = np.ones((1, 1, 1))
+    w = row_weights(sample.grid, weighted)
     d = f - t
     ms = (w * d * d).sum(axis=(-2, -1)) / (f.shape[-2] * f.shape[-1])
     out = np.sqrt(ms)
@@ -165,15 +179,6 @@ def fit_climatology(series, dates, n_harmonics=3):
     )
 
 
-def _weighted_spatial_stats(anom, w):
-    # mean and centered field under row weights that average to 1
-    n = anom.shape[-2] * anom.shape[-1]
-    mean = (w * anom).sum(axis=(-2, -1), keepdims=True) / n
-    centered = anom - mean
-    var = (w * centered * centered).sum(axis=(-2, -1)) / n
-    return centered, var
-
-
 def acc(sample, clim, weighted=True):
     """Anomaly correlation against the harmonic climatology.
 
@@ -190,12 +195,9 @@ def acc(sample, clim, weighted=True):
         ref = ref[None]
     if ref.shape != f.shape:
         raise MetricsError(f"climatology {ref.shape} does not cover fields {f.shape}")
-    if weighted:
-        w = latitude_weights(sample.grid)[None, :, None]
-    else:
-        w = np.ones((1, 1, 1))
-    fc, fv = _weighted_spatial_stats(f - ref, w)
-    tc, tv = _weighted_spatial_stats(t - ref, w)
+    w = row_weights(sample.grid, weighted)
+    _, fc, fv = weighted_moments(f - ref, w)
+    _, tc, tv = weighted_moments(t - ref, w)
     if np.any(fv <= 0) or np.any(tv <= 0):
         raise MetricsError("zero anomaly variance; correlation undefined")
     n = f.shape[-2] * f.shape[-1]

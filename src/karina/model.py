@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from karina import engine
+from karina.config import field_types, format_text, parse_text
 from karina.layers import Conv2d, ConvNextBlock, DepthScale, LayerNormChannels, Module
 from karina.padding import PaddingMode
 
@@ -79,46 +80,11 @@ class ModelConfig:
 
     def to_text(self):
         """Canonical key=value lines, sorted by key; round-trips exactly."""
-        out = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                out.append(f"{f.name}={','.join(str(int(e)) for e in v)}")
-            elif isinstance(v, bool):
-                out.append(f"{f.name}={'true' if v else 'false'}")
-            elif isinstance(v, float):
-                out.append(f"{f.name}={v!r}")
-            else:
-                out.append(f"{f.name}={v}")
-        return "\n".join(out) + "\n"
+        return format_text(vars(self), field_types(type(self)))
 
     @classmethod
     def from_text(cls, text):
-        known = {f.name: f for f in fields(cls)}
-        got = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ModelError(f"config line {lineno} is not key=value: {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in known:
-                raise ModelError(f"unknown config key {key!r}")
-            if key in ("stage_dims", "depths"):
-                got[key] = tuple(int(t) for t in raw.split(","))
-            elif key in ("layer_scale_init", "drop_path_rate"):
-                got[key] = float(raw)
-            elif key == "se_enabled":
-                if raw not in ("true", "false"):
-                    raise ModelError(f"se_enabled must be true or false, got {raw!r}")
-                got[key] = raw == "true"
-            elif key == "padding_mode":
-                got[key] = raw
-            else:
-                got[key] = int(raw)
+        got = parse_text(text, field_types(cls), "checkpoint config", ModelError)
         return cls(**got).validate()
 
 
@@ -178,18 +144,6 @@ class KarinaModel(Module):
         self.head = Conv2d(dims[-1], config.out_channels, 1, padding_mode=mode, rng=rng, dtype=dtype)
         self.assign_names()
 
-    def named_parameters(self, prefix=""):
-        skip = {"config", "seed", "dtype", "mode"}
-        for attr, value in vars(self).items():
-            if attr in skip or attr.startswith("_"):
-                continue
-            if isinstance(value, Module):
-                yield from value.named_parameters(prefix + attr + ".")
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item.named_parameters(f"{prefix}{attr}.{i}.")
-
     def train(self):
         self.mode = "train"
         return self
@@ -245,6 +199,13 @@ def _read_exact(fh, n, what):
     return buf
 
 
+def _read_text(fh, n, what):
+    try:
+        return _read_exact(fh, n, what).decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ModelError(f"checkpoint {what} is not UTF-8: {err}") from None
+
+
 def save_checkpoint(model, path):
     """Write config text plus every parameter as raw little-endian float32."""
     with open(path, "wb") as fh:
@@ -289,7 +250,7 @@ def load_checkpoint(path, dtype=np.float32, expect_config=None):
                 f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
             )
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        config = ModelConfig.from_text(_read_exact(fh, cfg_len, "config").decode("utf-8"))
+        config = ModelConfig.from_text(_read_text(fh, cfg_len, "config"))
         if expect_config is not None:
             for f in fields(ModelConfig):
                 a, b = getattr(config, f.name), getattr(expect_config, f.name)
@@ -302,7 +263,7 @@ def load_checkpoint(path, dtype=np.float32, expect_config=None):
         order = []
         for _ in range(n_params):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            name = _read_text(fh, name_len, "name")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4, f"{name} extent"))[0]
@@ -333,5 +294,7 @@ def load_checkpoint(path, dtype=np.float32, expect_config=None):
             raise ModelError(
                 f"checkpoint parameter {name} has shape {arr.shape}, model wants {p.data.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ModelError(f"checkpoint parameter {name} holds non-finite values")
         p.data[...] = arr.astype(p.data.dtype)
     return model

@@ -14,13 +14,13 @@ series returned is the finite prefix with the failing step recorded.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from karina import engine
-from karina.data import DataError, GridFile, denormalize
-from karina.metrics import latitude_weights
+from karina.data import GridFile, denormalize
+from karina.metrics import latitude_weights, weighted_moments
 from karina.padding import GridSpec
 
 BLOWUP_STD = 100.0
@@ -73,16 +73,6 @@ class ForecastSeries:
         )
 
 
-def _weighted_stats(state, w):
-    # per-channel weighted mean/std plus raw extremes, float64
-    x = state.astype(np.float64)
-    n = x.shape[-2] * x.shape[-1]
-    mean = (w * x).sum(axis=(-2, -1)) / n
-    centered = x - mean[:, None, None]
-    std = np.sqrt((w * centered * centered).sum(axis=(-2, -1)) / n)
-    return mean, std, x.min(axis=(-2, -1)), x.max(axis=(-2, -1))
-
-
 def rollout(model, init_state, horizon, stats, static_mask=None, init_date=0.0):
     """Step the model `horizon` times from a normalized initial state.
 
@@ -107,34 +97,42 @@ def rollout(model, init_state, horizon, stats, static_mask=None, init_date=0.0):
 
     grid = GridSpec.from_shape(init_state.shape[1], init_state.shape[2])
     w = latitude_weights(grid)[None, :, None]
+    # any stepper with eval() and forward() will do; not all carry a mode
+    training = getattr(model, "mode", None) == "train"
     model.eval()
 
     steps = []
     means, stds, mins, maxs = [], [], [], []
     state = init_state.copy()
     blowup = None
-    for k in range(horizon):
-        try:
-            out = model.forward(state[None])
-        except engine.NonFiniteError:
-            blowup = k + 1
-            break
-        nxt = out.data[0].copy()
-        if static_mask is not None:
-            nxt[static_mask] = init_state[static_mask]
-        if not np.isfinite(nxt).all():
-            blowup = k + 1
-            break
-        mean, std, lo, hi = _weighted_stats(nxt, w)
-        if np.any(std > BLOWUP_STD):
-            blowup = k + 1
-            break
-        state = nxt
-        steps.append(denormalize(nxt, stats).astype(np.float32))
-        means.append(mean)
-        stds.append(std)
-        mins.append(lo)
-        maxs.append(hi)
+    try:
+        for k in range(horizon):
+            try:
+                out = model.forward(state[None])
+            except engine.NonFiniteError:
+                blowup = k + 1
+                break
+            nxt = out.data[0].copy()
+            if static_mask is not None:
+                nxt[static_mask] = init_state[static_mask]
+            if not np.isfinite(nxt).all():
+                blowup = k + 1
+                break
+            x = nxt.astype(np.float64)
+            mean, _, var = weighted_moments(x, w)
+            std = np.sqrt(var)
+            if np.any(std > BLOWUP_STD):
+                blowup = k + 1
+                break
+            state = nxt
+            steps.append(denormalize(nxt, stats).astype(np.float32))
+            means.append(mean)
+            stds.append(std)
+            mins.append(x.min(axis=(-2, -1)))
+            maxs.append(x.max(axis=(-2, -1)))
+    finally:
+        if training:
+            model.train()
 
     shape = (len(steps), c, init_state.shape[1], init_state.shape[2])
     return ForecastSeries(

@@ -32,6 +32,10 @@ class TrainConfig:
     loss: str = "l2"
     schedule: str = "cosine"
     seed: int = 0
+    # loss-weighting switches; the caller turns them into the
+    # loss_weights argument, since they need the data's grid and mask
+    lat_weighted_loss: bool = False
+    exclude_static_loss: bool = False
 
     def validate(self):
         # lr == 0 is admitted as a degenerate rate: a zero-lr run must

@@ -2,11 +2,13 @@
 
 import hashlib
 import os
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from karina import cli, data, rollout
+from karina import cli, data, model, rollout
 from karina.cli import CliError
 
 
@@ -96,6 +98,20 @@ class TestConfigParsing:
         keys = [line.partition("=")[0] for line in text.strip().splitlines()]
         assert keys == sorted(cli.SCHEMA)
 
+    def test_default_resolved_bytes_pinned(self):
+        # every key, type and default, byte for byte
+        text = cli.resolved_text(cli.load_config())
+        assert len(cli.SCHEMA) == 50
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "671b7dae00ad618f781a0c544787c9a1f4d17dae137fc40b3aee1012f71ce399"
+        )
+
+    @pytest.mark.parametrize("section", sorted(cli.SECTIONS))
+    def test_every_dataclass_field_has_a_key(self, section):
+        for f in fields(cli.SECTIONS[section]):
+            if f.name not in ("seed", "n_days"):
+                assert f"{section}.{f.name}" in cli.SCHEMA
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -168,6 +184,12 @@ class TestTrainCommand:
         code = run_train(tmp_path / "run", "--set", "data.path=/nowhere/x.grid")
         assert code == 1
         assert "data.path" in capsys.readouterr().err
+
+    def test_bad_train_config_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_train(out, "--set", "train.lr=-1") == 1
+        assert "lr" in capsys.readouterr().err
+        assert not (out / "config.resolved").exists()
 
     def test_short_train_split_rejected(self, tmp_path, capsys):
         code = run_train(tmp_path / "run", "--set", "data.train_days=1")
@@ -359,6 +381,18 @@ class TestEvaluateCommand:
         assert code == 1
         assert "eval.checkpoint" in capsys.readouterr().err
 
+    def test_corrupt_checkpoint_header_is_config_error(self, tmp_path, capsys):
+        header = b"in_channels=x\n"
+        ckpt = tmp_path / "bad.krna"
+        ckpt.write_bytes(model.CHECKPOINT_MAGIC + struct.pack("<I", 1)
+                         + struct.pack("<I", len(header)) + header)
+        out = tmp_path / "ev"
+        code = cli.main(["evaluate", "--out", str(out), *SMOKE,
+                         "--set", f"eval.checkpoint={ckpt}"])
+        assert code == 1
+        assert "in_channels" in capsys.readouterr().err
+        assert not (out / "FAILED").exists()
+
 
 class TestRolloutCommand:
     def make_checkpoint(self, tmp_path):
@@ -494,6 +528,19 @@ class TestAblateCommand:
         assert rows[0] == "kernel,channel,lead_days,metric,value"
         kernels = sorted({r.split(",")[0] for r in rows[1:]})
         assert kernels == ["3", "5", "7"]
+
+    def test_every_variant_validated_before_training(self, tmp_path, monkeypatch):
+        # se off with ratio 3 is valid for plain and padded, not for padded_senet
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was validated")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        out = tmp_path / "ab"
+        code = cli.main(["ablate", "--out", str(out), *ABLATE_ARGS,
+                         "--set", "model.se_enabled=false",
+                         "--set", "model.reduction_ratio=3"])
+        assert code == 1
+        assert not (out / "config.resolved").exists()
 
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

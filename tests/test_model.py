@@ -1,5 +1,6 @@
 """Model config, assembly, naming, checkpoint format, roll equivariance."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -85,6 +86,17 @@ class TestModelConfig:
     def test_malformed_line_rejected(self):
         with pytest.raises(ModelError, match="key=value"):
             ModelConfig.from_text("just words\n")
+
+    def test_version_1_header_text_still_parses(self):
+        # the header text .krna version 1 files carry, written out literally
+        text = (
+            "depths=1,1\ndrop_path_rate=0.0\nin_channels=4\nlayer_scale_init=1e-06\n"
+            "out_channels=4\npadding_mode=geocyclic\nreduction_ratio=4\n"
+            "se_enabled=true\nstage_dims=8,16\nstem_kernel=3\n"
+        )
+        cfg = ModelConfig.from_text(text)
+        assert cfg == toy_config()
+        assert cfg.to_text() == text
 
 
 class TestBuild:
@@ -283,6 +295,35 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(ModelError, match="trailing"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        b"in_channels=x\n", b"stage_dims=\n", b"padding_mode=geo\xffcyclic\n",
+    ])
+    def test_corrupt_header_is_model_error(self, tmp_path, header):
+        path = tmp_path / "bad.krna"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1)
+                         + struct.pack("<I", len(header)) + header)
+        with pytest.raises(ModelError):
+            load_checkpoint(path)
+
+    def test_non_finite_parameter_rejected_by_name(self, tmp_path):
+        m = build(toy_config(), seed=9)
+        m.head.bias.data[1] = np.nan
+        path = tmp_path / "model.krna"
+        save_checkpoint(m, path)
+        with pytest.raises(ModelError, match="head.bias"):
+            load_checkpoint(path)
+
+    def test_toy_checkpoint_bytes_pinned(self, tmp_path):
+        # checkpoint format version 1, byte for byte
+        m = build(toy_config(), seed=0)
+        path = tmp_path / "model.krna"
+        save_checkpoint(m, path)
+        blob = path.read_bytes()
+        assert len(blob) == 33865
+        assert hashlib.sha256(blob).hexdigest() == (
+            "c84b27f41484bbbac4c987264a9b3513c2c0be4e109c0dda1441fefe5b2a3152"
+        )
 
     def test_expect_config_mismatch_names_field(self, tmp_path):
         m = build(toy_config(), seed=9)

@@ -94,6 +94,14 @@ class TestRolloutBasics:
         series = R.rollout(tiny_model(), init, 3, stats)
         assert not np.array_equal(series.steps[0, 0], series.steps[1, 0])
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_restores_model_mode(self, mode):
+        gf, stats, init = setup_world()
+        model = tiny_model()
+        model.mode = mode
+        R.rollout(model, init, 2, stats)
+        assert model.mode == mode
+
     def test_validation_errors(self):
         gf, stats, init = setup_world()
         model = tiny_model()
