@@ -23,6 +23,7 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, expit
 
 SUPPORTED_DTYPES = (np.float32, np.float64)
@@ -157,6 +158,15 @@ def _accumulate_samples(t, per_sample):
         t.grad += per_sample[k]
 
 
+def _as_batch(arr, op):
+    """View a (C,H,W) or (B,C,H,W) array as (B,C,H,W): rank 3 is a batch of one."""
+    if arr.ndim == 3:
+        return arr[None]
+    if arr.ndim == 4:
+        return arr
+    raise ShapeError(f"{op}: need (C,H,W) or (B,C,H,W), got {arr.shape}")
+
+
 def _make(out_data, parents, backward_fn, op):
     _check_finite(out_data, op)
     req = _recording and any(p.requires_grad for p in parents)
@@ -223,7 +233,7 @@ def zero_grads(params):
 
 
 def add(a, b):
-    """a + b.  Shapes must match, or b is (C,) against a channel axis at -3."""
+    """a + b.  Shapes must match, or b is (C,) against the C of (C,H,W) or (B,C,H,W)."""
     _same_dtype(a, b, "add")
     if a.data.shape == b.data.shape:
         out_data = a.data + b.data
@@ -236,21 +246,14 @@ def add(a, b):
 
         return _make(out_data, (a, b), bwd, "add")
 
-    if a.data.ndim >= 3 and b.data.shape == (a.data.shape[-3],):
-        c = b.data.shape[0]
-        bshape = (c, 1, 1)
-        out_data = a.data + b.data.reshape(bshape)
-        reduce_axes = tuple(i for i in range(a.data.ndim) if i != a.data.ndim - 3)
+    if a.data.ndim in (3, 4) and b.data.shape == (a.data.shape[-3],):
+        out_data = a.data + b.data.reshape(-1, 1, 1)
 
         def bwd(g):
             if a.requires_grad:
                 _accumulate(a, g)
             if b.requires_grad:
-                if g.ndim == 4:
-                    per_sample = g.sum(axis=(2, 3))
-                    _accumulate_samples(b, per_sample)
-                else:
-                    _accumulate(b, g.sum(axis=reduce_axes))
+                _accumulate_samples(b, _as_batch(g, "add").sum(axis=(2, 3)))
 
         return _make(out_data, (a, b), bwd, "add")
 
@@ -408,41 +411,31 @@ def layer_norm_channels(x, gamma, beta, eps=1e-6):
     """
     _same_dtype(x, gamma, "layer_norm_channels")
     _same_dtype(x, beta, "layer_norm_channels")
-    if x.data.ndim not in (3, 4):
-        raise ShapeError(f"layer_norm_channels: need (C,H,W) or (B,C,H,W), got {x.data.shape}")
-    c = x.data.shape[-3]
+    x4 = _as_batch(x.data, "layer_norm_channels")
+    c = x4.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(
             f"layer_norm_channels: gamma/beta must be ({c},), got "
             f"{gamma.data.shape} and {beta.data.shape}"
         )
-    ax = x.data.ndim - 3
-    dt = x.data.dtype.type
-    mu = x.data.mean(axis=ax, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=ax, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + dt(eps))
-    xhat = (x.data - mu) * inv_std
-    gshape = (c, 1, 1)
-    out_data = xhat * gamma.data.reshape(gshape) + beta.data.reshape(gshape)
+    mu = x4.mean(axis=1, keepdims=True)
+    var = ((x4 - mu) ** 2).mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + x4.dtype.type(eps))
+    xhat = (x4 - mu) * inv_std
+    gamma4 = gamma.data.reshape(c, 1, 1)
+    out_data = (xhat * gamma4 + beta.data.reshape(c, 1, 1)).reshape(x.data.shape)
 
     def bwd(g):
+        g4 = _as_batch(g, "layer_norm_channels")
         if gamma.requires_grad:
-            if g.ndim == 4:
-                per_sample = (g * xhat).sum(axis=(2, 3))
-                _accumulate_samples(gamma, per_sample)
-            else:
-                _accumulate(gamma, (g * xhat).sum(axis=(1, 2)))
+            _accumulate_samples(gamma, (g4 * xhat).sum(axis=(2, 3)))
         if beta.requires_grad:
-            if g.ndim == 4:
-                per_sample = g.sum(axis=(2, 3))
-                _accumulate_samples(beta, per_sample)
-            else:
-                _accumulate(beta, g.sum(axis=(1, 2)))
+            _accumulate_samples(beta, g4.sum(axis=(2, 3)))
         if x.requires_grad:
-            dxhat = g * gamma.data.reshape(gshape)
-            m1 = dxhat.mean(axis=ax, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=ax, keepdims=True)
-            _accumulate(x, inv_std * (dxhat - m1 - xhat * m2))
+            dxhat = g4 * gamma4
+            m1 = dxhat.mean(axis=1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+            _accumulate(x, (inv_std * (dxhat - m1 - xhat * m2)).reshape(x.data.shape))
 
     return _make(out_data, (x, gamma, beta), bwd, "layer_norm_channels")
 
@@ -482,35 +475,27 @@ def linear(x, w, b=None):
 
 
 def channel_scale(x, s):
-    """Multiply per channel: x (..., C, H, W) times s of shape (C,) or (B, C)."""
+    """Multiply per channel: x (C,H,W) or (B,C,H,W) times s of shape (C,) or (B, C)."""
     _same_dtype(x, s, "channel_scale")
-    if x.data.ndim not in (3, 4):
-        raise ShapeError(f"channel_scale: need (C,H,W) or (B,C,H,W), got {x.data.shape}")
-    c = x.data.shape[-3]
-    if s.data.shape == (c,):
-        sb = s.data.reshape((c, 1, 1))
-        per_batch = False
-    elif x.data.ndim == 4 and s.data.shape == (x.data.shape[0], c):
-        sb = s.data.reshape((x.data.shape[0], c, 1, 1))
-        per_batch = True
-    else:
+    x4 = _as_batch(x.data, "channel_scale")
+    # (C,) scales every sample alike; (B, C) gates come with rank-4 input
+    if s.data.shape not in (x4.shape[1:2], x.data.shape[:-2]):
         raise ShapeError(
             f"channel_scale: scale shape {s.data.shape} does not fit input {x.data.shape}"
         )
+    per_batch = s.data.ndim == 2
+    sb = s.data.reshape(s.data.shape + (1, 1))
     out_data = x.data * sb
-    x_data = x.data
 
     def bwd(g):
         if x.requires_grad:
             _accumulate(x, g * sb)
         if s.requires_grad:
+            per_sample = (_as_batch(g, "channel_scale") * x4).sum(axis=(2, 3))
             if per_batch:
-                _accumulate(s, (g * x_data).sum(axis=(2, 3)))
-            elif x_data.ndim == 4:
-                per_sample = (g * x_data).sum(axis=(2, 3))
-                _accumulate_samples(s, per_sample)
+                _accumulate(s, per_sample)
             else:
-                _accumulate(s, (g * x_data).sum(axis=(1, 2)))
+                _accumulate_samples(s, per_sample)
 
     return _make(out_data, (x, s), bwd, "channel_scale")
 
@@ -521,32 +506,18 @@ def sample_scale(x, factors):
     factors is a plain float (rank-3 input) or a (B,) numpy array
     (rank-4 input).  Used for stochastic depth.
     """
-    if x.data.ndim == 3:
-        f = x.data.dtype.type(float(factors))
-        out_data = x.data * f
+    _as_batch(x.data, "sample_scale")  # rank check
+    f = np.asarray(factors, dtype=x.data.dtype)
+    if f.shape != x.data.shape[:-3]:
+        raise ShapeError(f"sample_scale: factors shape {f.shape} != {x.data.shape[:-3]}")
+    fb = f.reshape(f.shape + (1, 1, 1))
+    out_data = x.data * fb
 
-        def bwd(g):
-            if x.requires_grad:
-                _accumulate(x, g * f)
+    def bwd(g):
+        if x.requires_grad:
+            _accumulate(x, g * fb)
 
-        return _make(out_data, (x,), bwd, "sample_scale")
-
-    if x.data.ndim == 4:
-        f = np.asarray(factors, dtype=x.data.dtype)
-        if f.shape != (x.data.shape[0],):
-            raise ShapeError(
-                f"sample_scale: factors shape {f.shape} != ({x.data.shape[0]},)"
-            )
-        fb = f.reshape((-1, 1, 1, 1))
-        out_data = x.data * fb
-
-        def bwd(g):
-            if x.requires_grad:
-                _accumulate(x, g * fb)
-
-        return _make(out_data, (x,), bwd, "sample_scale")
-
-    raise ShapeError(f"sample_scale: need rank 3 or 4 input, got {x.data.shape}")
+    return _make(out_data, (x,), bwd, "sample_scale")
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +532,11 @@ def pad2d(x, table, pad_shape):
     backward pass scatter-adds with bincount, which accumulates in fixed
     index order.
     """
-    if x.data.ndim not in (3, 4):
-        raise ShapeError(f"pad2d: need (C,H,W) or (B,C,H,W), got {x.data.shape}")
+    x4 = _as_batch(x.data, "pad2d")
     hp, wp = pad_shape
     table = np.asarray(table, dtype=np.int64).reshape(-1)
     if table.size != hp * wp:
         raise ShapeError(f"pad2d: table length {table.size} != {hp}*{wp}")
-    squeeze = x.data.ndim == 3
-    x4 = x.data[None] if squeeze else x.data
     b, c, h, w = x4.shape
     if table.size and (table.max() >= h * w or table.min() < -1):
         raise ShapeError("pad2d: table index out of range")
@@ -578,9 +546,7 @@ def pad2d(x, table, pad_shape):
     zero_mask = table < 0
     if zero_mask.any():
         out[:, zero_mask] = 0
-    out_data = out.reshape(b, c, hp, wp)
-    if squeeze:
-        out_data = out_data.reshape(c, hp, wp)
+    out_data = out.reshape(x.data.shape[:-2] + (hp, wp))
     valid = table >= 0
     src = table[valid]
 
@@ -608,10 +574,7 @@ def conv2d_valid(x, w, b=None, groups=1):
     _same_dtype(x, w, "conv2d_valid")
     if w.data.ndim != 4 or w.data.shape[2] != w.data.shape[3]:
         raise ShapeError(f"conv2d_valid: weight must be (Cout, Cin/g, K, K), got {w.data.shape}")
-    squeeze = x.data.ndim == 3
-    if x.data.ndim not in (3, 4):
-        raise ShapeError(f"conv2d_valid: need rank 3 or 4 input, got {x.data.shape}")
-    x4 = x.data[None] if squeeze else x.data
+    x4 = _as_batch(x.data, "conv2d_valid")
     bsz, cin, hp, wp = x4.shape
     cout, cin_g, k, _ = w.data.shape
     if groups < 1 or cin % groups or cout % groups:
@@ -629,82 +592,31 @@ def conv2d_valid(x, w, b=None, groups=1):
 
     ho, wo = hp - k + 1, wp - k + 1
     hw = ho * wo
-    dt = x4.dtype
-
-    if k == 1:
-        cols = x4.reshape(bsz, cin, 1, hw)
-    else:
-        cols = np.empty((bsz, cin, k * k, hw), dtype=dt)
-        t = 0
-        for dy in range(k):
-            for dx in range(k):
-                cols[:, :, t, :] = x4[:, :, dy:dy + ho, dx:dx + wo].reshape(bsz, cin, hw)
-                t += 1
-
-    depthwise = groups == cin and cout == cin and cin_g == 1
-    if groups == 1:
-        wmat = w.data.reshape(cout, cin * k * k)
-        out = np.matmul(wmat, cols.reshape(bsz, cin * k * k, hw))
-    elif depthwise:
-        wmat = w.data.reshape(cin, 1, k * k)
-        out = np.matmul(wmat, cols).reshape(bsz, cin, hw)
-    else:
-        cpg_in = cin // groups
-        cpg_out = cout // groups
-        out = np.empty((bsz, cout, hw), dtype=dt)
-        gcols = cols.reshape(bsz, groups, cpg_in * k * k, hw)
-        gw = w.data.reshape(groups, cpg_out, cpg_in * k * k)
-        for gi in range(groups):
-            out[:, gi * cpg_out:(gi + 1) * cpg_out] = np.matmul(gw[gi], gcols[:, gi])
-    out = out.reshape(bsz, cout, ho, wo)
+    # cols[b, c, dy*k + dx] is the input plane shifted by (dy, dx); a view
+    # of x for 1x1 kernels, one copy otherwise
+    cols = sliding_window_view(x4, (k, k), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    cols = cols.reshape(bsz, cin, k * k, hw)
+    # one GEMM per (sample, group): dense is G=1, depthwise is G=C with
+    # one output row per group
+    gcols = cols.reshape(bsz, groups, cin_g * k * k, hw)
+    gw = w.data.reshape(groups, cout // groups, cin_g * k * k)
+    out = np.matmul(gw, gcols).reshape(bsz, cout, ho, wo)
     if b is not None:
         out = out + b.data.reshape(1, cout, 1, 1)
-    out_data = out.reshape(cout, ho, wo) if squeeze else out
+    out_data = out.reshape(x.data.shape[:-3] + (cout, ho, wo))
 
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
-        g4 = g.reshape(bsz, cout, ho, wo)
-        gmat = g4.reshape(bsz, cout, hw)
+        gmat = g.reshape(bsz, cout, hw)
         if b is not None and b.requires_grad:
-            per_sample = gmat.sum(axis=2)
-            _accumulate_samples(b, per_sample)
-        need_x = x.requires_grad
-        need_w = w.requires_grad
-        if not (need_x or need_w):
-            return
-        if groups == 1:
-            if need_w:
-                per_sample = np.matmul(gmat, cols.reshape(bsz, cin * k * k, hw).transpose(0, 2, 1))
-                _accumulate_samples(w, per_sample.reshape((per_sample.shape[0],) + w.data.shape))
-            if need_x:
-                wmat_ = w.data.reshape(cout, cin * k * k)
-                dcols = np.matmul(wmat_.T, gmat).reshape(bsz, cin, k * k, hw)
-        elif depthwise:
-            gdw = gmat.reshape(bsz, cin, 1, hw)
-            if need_w:
-                per_sample = np.matmul(gdw, cols.transpose(0, 1, 3, 2))
-                _accumulate_samples(w, per_sample.reshape((per_sample.shape[0],) + w.data.shape))
-            if need_x:
-                wdw = w.data.reshape(cin, k * k, 1)
-                dcols = np.matmul(wdw, gdw).reshape(bsz, cin, k * k, hw)
-        else:
-            cpg_in = cin // groups
-            cpg_out = cout // groups
-            gcols_ = cols.reshape(bsz, groups, cpg_in * k * k, hw)
-            gw_ = w.data.reshape(groups, cpg_out, cpg_in * k * k)
-            gg = gmat.reshape(bsz, groups, cpg_out, hw)
-            if need_w:
-                per_sample = np.empty((bsz, groups, cpg_out, cpg_in * k * k), dtype=dt)
-                for gi in range(groups):
-                    per_sample[:, gi] = np.matmul(gg[:, gi], gcols_[:, gi].transpose(0, 2, 1))
-                _accumulate_samples(w, per_sample.reshape((bsz,) + w.data.shape))
-            if need_x:
-                dcols = np.empty((bsz, cin, k * k, hw), dtype=dt)
-                dcg = dcols.reshape(bsz, groups, cpg_in * k * k, hw)
-                for gi in range(groups):
-                    dcg[:, gi] = np.matmul(gw_[gi].T, gg[:, gi])
-        if need_x:
+            _accumulate_samples(b, gmat.sum(axis=2))
+        gg = gmat.reshape(bsz, groups, cout // groups, hw)
+        if w.requires_grad:
+            per_sample = np.matmul(gg, gcols.transpose(0, 1, 3, 2))
+            _accumulate_samples(w, per_sample.reshape((bsz,) + w.data.shape))
+        if x.requires_grad:
+            dcols = np.matmul(gw.transpose(0, 2, 1), gg).reshape(bsz, cin, k * k, hw)
             if k == 1:
                 dx4 = dcols.reshape(x4.shape)
             else:

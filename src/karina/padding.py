@@ -90,30 +90,17 @@ def _build_table(h, w, p, mode):
     revolution; the south edge mirrors that with row h - k.  Longitude
     wraps everywhere, so the corner blocks follow from the same rule.
     """
-    table = np.full((h + 2 * p, w + 2 * p), -1, dtype=np.int64)
-    half = w // 2 if w % 2 == 0 else 0
-    for i in range(h + 2 * p):
-        for j in range(w + 2 * p):
-            if p <= i < p + h:
-                r = i - p
-                if mode is PaddingMode.ZERO:
-                    if not (p <= j < p + w):
-                        continue
-                    c = j - p
-                else:
-                    c = (j - p) % w
-            elif mode is PaddingMode.GEOCYCLIC:
-                if i < p:
-                    k = p - i
-                    r = k - 1
-                else:
-                    k = i - (p + h) + 1
-                    r = h - k
-                c = (j - p + half) % w
-            else:
-                continue
-            table[i, j] = r * w + c
-    return table
+    r = np.arange(h + 2 * p, dtype=np.int64)[:, None] - p
+    j = np.arange(w + 2 * p, dtype=np.int64)
+    pole = (r < 0) | (r >= h)
+    if mode is PaddingMode.GEOCYCLIC:
+        r = np.where(r < 0, -r - 1, np.where(r >= h, 2 * h - 1 - r, r))
+        shift = np.where(pole, w // 2, 0)
+        keep = True
+    else:
+        shift = 0
+        keep = ~pole if mode is PaddingMode.CIRCULAR_ZERO_POLE else ~pole & (j >= p) & (j < p + w)
+    return np.where(keep, r * w + (j - p + shift) % w, -1)
 
 
 _TABLE_CACHE = {}
@@ -149,7 +136,8 @@ def index_map(p, grid, mode):
     return _TABLE_CACHE[key]
 
 
-def _pad(x, p, mode):
+def pad(x, p, mode):
+    """Pad the (H, W) planes of a (C,H,W) or (B,C,H,W) tensor by p cells per side."""
     if x.data.ndim not in (3, 4):
         raise PaddingError(f"padding expects (C,H,W) or (B,C,H,W), got {x.data.shape}")
     h, w = x.data.shape[-2:]
@@ -159,21 +147,17 @@ def _pad(x, p, mode):
 
 def pad_geocyclic(x, p):
     """Pad with longitude wrap and antipodal pole reflection."""
-    return _pad(x, p, PaddingMode.GEOCYCLIC)
+    return pad(x, p, PaddingMode.GEOCYCLIC)
 
 
 def pad_circular_zero_pole(x, p):
     """Pad with longitude wrap; rows beyond either pole read zero."""
-    return _pad(x, p, PaddingMode.CIRCULAR_ZERO_POLE)
+    return pad(x, p, PaddingMode.CIRCULAR_ZERO_POLE)
 
 
 def pad_zero(x, p):
     """Pad with zeros on all four sides."""
-    return _pad(x, p, PaddingMode.ZERO)
-
-
-def pad(x, p, mode):
-    return _pad(x, p, mode)
+    return pad(x, p, PaddingMode.ZERO)
 
 
 def roll_lon(a, s):

@@ -3,6 +3,8 @@
 import hashlib
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -120,6 +122,17 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert cli.main(["retrain", "--out", "x"]) == 1
+
+    def test_run_as_module_warns_nothing(self):
+        # `python -m karina.cli` must not find the module already imported
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "karina.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage: karina" in done.stdout
 
     def test_missing_out(self, capsys):
         assert cli.main(["train"]) == 1

@@ -1,0 +1,68 @@
+"""Golden bits: conv outputs, conv gradients and a trained checkpoint.
+
+Each hash was taken from the per-branch kernel that preceded the one
+batched matmul over a groups axis, and must not move under any later
+kernel rewrite; if one does, the rewrite is not bit-preserving.  The
+hashes assume numpy's bundled OpenBLAS on x86-64; another BLAS may
+round a GEMM differently.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from karina import cli
+from karina import engine as E
+
+
+def digest(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+
+
+# batch 4 at (Cin, Cout, groups, K, padded H, padded W); hashes of the
+# output and of the x, w and b gradients
+CONV_GOLDEN = {
+    "dense_3x3": ((6, 8, 1, 3, 18, 34), (
+        "7fec195b5b02010c", "a74bedbd245973fe", "e076a12cf8431de4", "24790adfffaa8b58")),
+    "pointwise_1x1": ((8, 32, 1, 1, 16, 32), (
+        "0f1e194efdc7dc84", "87cd23f8793be7bf", "cc61093e5da15661", "2ce4faa9413f00f0")),
+    "depthwise_7x7": ((8, 8, 8, 7, 22, 38), (
+        "4c8bf1b305c7b255", "7f82351f6b500c58", "1eda7798742d1eda", "a79a0031ec92c037")),
+    "groups_2": ((6, 8, 2, 3, 10, 14), (
+        "1bf471ee61c14df3", "67b5f45cf88b6a27", "15c3124b5837156f", "03a98ac68ca38046")),
+}
+
+
+def conv_bits(cin, cout, groups, k, hp, wp):
+    rng = np.random.default_rng(2024)
+    x = E.Parameter(rng.standard_normal((4, cin, hp, wp)).astype(np.float32), "x")
+    w = E.Parameter((rng.standard_normal((cout, cin // groups, k, k)) * 0.3)
+                    .astype(np.float32), "w")
+    b = E.Parameter(rng.standard_normal(cout).astype(np.float32), "b")
+    y = E.conv2d_valid(x, w, b, groups=groups)
+    probe = E.Tensor(rng.standard_normal(y.shape).astype(np.float32))
+    E.backward(E.sum_all(E.mul(y, probe)))
+    return tuple(digest(a) for a in (y.data, x.grad, w.grad, b.grad))
+
+
+@pytest.mark.parametrize("case", sorted(CONV_GOLDEN))
+def test_conv_float32_bits(case):
+    shape, want = CONV_GOLDEN[case]
+    assert conv_bits(*shape) == want
+
+
+def test_one_epoch_checkpoint_bits(tmp_path):
+    code = cli.main([
+        "train", "--out", str(tmp_path), "--seed", "3",
+        "--set", "model.stage_dims=4,8", "--set", "model.depths=1,1",
+        "--set", "synth.n_lat=8", "--set", "synth.n_lon=16",
+        "--set", "data.train_days=16", "--set", "data.test_days=4",
+        "--set", "train.epochs=1", "--set", "train.batch_size=4",
+    ])
+    assert code == 0
+    blob = (tmp_path / "checkpoint.krna").read_bytes()
+    assert len(blob) == 11644
+    assert hashlib.sha256(blob).hexdigest() == (
+        "bdcfa9d0d639d04fdde46f7204db25311bd40728ea0dd696889d83988c8191b0"
+    )
