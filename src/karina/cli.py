@@ -31,6 +31,7 @@ from .data import (
     write_grid,
 )
 from .config import format_text, parse_text, parse_value, type_name
+from .files import write_lines
 from .metrics import (
     MetricsError,
     MetricSample,
@@ -157,11 +158,6 @@ def load_config(config_path=None, sets=(), seed=None):
 
 def resolved_text(cfg):
     return format_text(cfg, _TYPES)
-
-
-def _write_resolved(cfg, out_dir):
-    with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
-        fh.write(resolved_text(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +422,7 @@ def cmd_train(cfg, out_dir):
     tcfg = _section_config(cfg, "train", seed=cfg["seed"])
     weights = _loss_weights(tcfg, bundle)
     mcfg = _section_config(cfg, "model")
-    _write_resolved(cfg, out_dir)
+    write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
     model = build(mcfg, seed=cfg["seed"])
     pairs = FileSource(bundle.train, bundle.stats).pairs()
     val_pairs = None
@@ -474,7 +470,7 @@ def cmd_finetune(cfg, out_dir):
     phases = _parse_phases(cfg["finetune.phases"])
     tcfg = _section_config(cfg, "train", seed=cfg["seed"])
     weights = _loss_weights(tcfg, bundle)
-    _write_resolved(cfg, out_dir)
+    write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
     if bundle.spec is not None:
         # restrict the generator to the training window; the analytic
         # fields for those days are identical under the shorter spec
@@ -533,7 +529,7 @@ def cmd_evaluate(cfg, out_dir):
     model = _load_model(cfg, "eval.checkpoint", bundle) if mode == "checkpoint" else None
     leads = _validated_leads(cfg, "eval.leads")
     clim = _fit_climatology(cfg, bundle)
-    _write_resolved(cfg, out_dir)
+    write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
     scores = _score_forecasts(
         bundle, leads, mode, model=model,
         static_reset=cfg["eval.static_reset"], weighted=cfg["eval.weighted"],
@@ -559,8 +555,7 @@ def cmd_evaluate(cfg, out_dir):
     lines = ["lead_days," + ",".join(scores.channels)]
     for L in leads:
         lines.append(f"{L}," + ",".join(repr(float(v)) for v in scores.rmse[L]))
-    with open(os.path.join(out_dir, "rmse_by_lead.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(os.path.join(out_dir, "rmse_by_lead.csv"), lines)
     acc_note = "with acc" if scores.acc else "acc skipped"
     print(
         f"scored {mode} over {scores.n_inits} init dates at leads "
@@ -585,7 +580,7 @@ def cmd_rollout(cfg, out_dir):
             f"rollout.init_day {cfg['rollout.init_day']} outside the "
             f"{bundle.gf.n_time}-day series"
         )
-    _write_resolved(cfg, out_dir)
+    write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
     z0 = normalize(bundle.gf.values[idx], bundle.stats)
     static = bundle.static_mask if cfg["rollout.static_reset"] else None
     series = rollout(model, z0, horizon, bundle.stats, static,
@@ -607,8 +602,8 @@ def cmd_rollout(cfg, out_dir):
         n_files = series.horizon_done
     drift_report(series, os.path.join(out_dir, "drift.csv"))
     if series.blowup_step is not None:
-        with open(os.path.join(out_dir, "BLOWUP"), "w", encoding="utf-8") as fh:
-            fh.write(f"forecast blew up at step {series.blowup_step}\n")
+        write_lines(os.path.join(out_dir, "BLOWUP"),
+                    [f"forecast blew up at step {series.blowup_step}"])
         print(
             f"warning: blew up at step {series.blowup_step}; "
             f"wrote the {series.horizon_done} finite steps"
@@ -644,8 +639,7 @@ def _write_variant_csv(rows, first_column, path):
     lines = [f"{first_column},channel,lead_days,metric,value"]
     for tag, channel, lead, metric, value in rows:
         lines.append(f"{tag},{channel},{int(lead)},{metric},{float(value)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def cmd_ablate(cfg, out_dir):
@@ -671,7 +665,7 @@ def cmd_ablate(cfg, out_dir):
                                     se_enabled=True)))
         for k in kernels
     ]
-    _write_resolved(cfg, out_dir)
+    write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
     pairs = FileSource(bundle.train, bundle.stats).pairs()
 
     def train_and_score(config):
@@ -754,8 +748,7 @@ def main(argv=None):
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # noqa: BLE001 - boundary: report, flag, exit 2
-        with open(os.path.join(out_dir, "FAILED"), "w", encoding="utf-8") as fh:
-            fh.write(f"{err}\n")
+        write_lines(os.path.join(out_dir, "FAILED"), [f"{err}"])
         print(f"error: {err}", file=sys.stderr)
         return 2
 

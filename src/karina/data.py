@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from karina.files import atomic_open
 from karina.padding import GridSpec
 
 GRID_MAGIC = b"GFLD"
@@ -94,7 +95,7 @@ def grid_file_size(gf):
 
 def write_grid(gf, path):
     t, c, h, w = gf.values.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(GRID_MAGIC)
         fh.write(struct.pack("<IIIII", GRID_VERSION, t, c, h, w))
         fh.write(gf.dates.astype("<u4").tobytes())
@@ -130,7 +131,10 @@ def read_grid(path):
             raise DataError(
                 f"truncated file: expected at least {off + n} bytes, got {len(blob)}"
             )
-        names.append(blob[off:off + n].decode("utf-8"))
+        try:
+            names.append(blob[off:off + n].decode("utf-8"))
+        except UnicodeDecodeError as err:
+            raise DataError(f"channel name {len(names)} is not UTF-8: {err}") from None
         off += n
     count = t * c * h * w
     want = off + 4 * count
@@ -407,14 +411,16 @@ class PairSet:
             raise DataError(f"pair arrays disagree: {self.x.shape} vs {self.y.shape}")
 
 
-def _validated_lags(lags):
+def validated_lags(lags, error):
+    """lags as a tuple of ints; an empty, repeated or out-of-range
+    hour offset raises error."""
     lags = tuple(int(l) for l in lags)
     if not lags:
-        raise DataError("need at least one lag")
+        raise error("need at least one lag")
     if len(set(lags)) != len(lags):
-        raise DataError(f"lags must be unique, got {lags}")
+        raise error(f"lags must be unique, got {lags}")
     if any(not 0 <= l <= 23 for l in lags):
-        raise DataError(f"lags must sit in [0, 23] hours, got {lags}")
+        raise error(f"lags must sit in [0, 23] hours, got {lags}")
     return lags
 
 
@@ -444,7 +450,7 @@ class FileSource:
         )
 
     def lag_pairs(self, lag_set):
-        lags = _validated_lags(lag_set)
+        lags = validated_lags(lag_set, DataError)
         bad = [l for l in lags if l != 0]
         if bad:
             raise DataError(
@@ -474,24 +480,25 @@ class SyntheticSource:
         return self.lag_pairs((0,))
 
     def lag_pairs(self, lag_set):
-        lags = _validated_lags(lag_set)
+        """Per lag, every day's frame is evaluated once: the target of
+        day k is the input of day k + lead."""
+        lags = validated_lags(lag_set, DataError)
         spec = self.field_set.spec
         n = spec.n_days - self.lead
-        xs, ys, dates = [], [], []
-        for lag in lags:
+        z = np.empty((spec.n_days, len(spec.channels), spec.n_lat, spec.n_lon), np.float32)
+        x = np.empty((len(lags) * n,) + z.shape[1:], np.float32)
+        y = np.empty_like(x)
+        for i, lag in enumerate(lags):
             offset = lag / 24.0
-            for k in range(n):
-                xs.append(self._normalized_frame(k + offset))
-                ys.append(self._normalized_frame(k + self.lead + offset))
-                dates.append(spec.start_day + k)
-        return PairSet(
-            x=np.stack(xs),
-            y=np.stack(ys),
-            input_dates=np.asarray(dates, dtype=np.uint32),
-        )
+            for t in range(spec.n_days):
+                z[t] = self._normalized_frame(t + offset)
+            x[i * n:(i + 1) * n] = z[:-self.lead]
+            y[i * n:(i + 1) * n] = z[self.lead:]
+        dates = spec.start_day + np.arange(n, dtype=np.uint32)
+        return PairSet(x=x, y=y, input_dates=np.tile(dates, len(lags)))
 
 
 def lag_augment(source, lags):
     """Augmented pair set over the given hour offsets; the source
     decides which lags it can realize."""
-    return source.lag_pairs(_validated_lags(lags))
+    return source.lag_pairs(validated_lags(lags, DataError))

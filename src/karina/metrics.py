@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from karina.files import write_lines
 from karina.padding import GridSpec
 
 
@@ -283,5 +284,4 @@ def metrics_to_csv(rows, path):
     lines = ["channel,lead_days,metric,value"]
     for channel, lead, name, value in rows:
         lines.append(f"{channel},{int(lead)},{name},{float(value)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -14,6 +14,8 @@ parameters by name, so a checkpoint is self-describing.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
@@ -22,8 +24,9 @@ import numpy as np
 
 from karina import engine
 from karina.config import field_types, format_text, parse_text
+from karina.files import atomic_open
 from karina.layers import Conv2d, ConvNextBlock, DepthScale, LayerNormChannels, Module
-from karina.padding import PaddingMode
+from karina.padding import PaddingError, PaddingMode
 
 CHECKPOINT_MAGIC = b"KRNA"
 CHECKPOINT_VERSION = 1
@@ -63,7 +66,10 @@ class ModelConfig:
             raise ModelError(f"every stage needs at least one block, got depths {self.depths}")
         if self.stem_kernel < 1 or self.stem_kernel % 2 == 0:
             raise ModelError(f"stem_kernel must be odd and positive, got {self.stem_kernel}")
-        PaddingMode.parse(self.padding_mode)
+        try:
+            PaddingMode.parse(self.padding_mode)
+        except PaddingError as err:
+            raise ModelError(str(err)) from None
         if self.reduction_ratio < 1:
             raise ModelError(f"reduction_ratio must be positive, got {self.reduction_ratio}")
         if self.se_enabled:
@@ -193,10 +199,14 @@ def build(config=None, seed=0, dtype=np.float32, **overrides):
 
 
 def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ModelError(f"checkpoint truncated while reading {what}")
-    return buf
+    """n bytes from fh; a count beyond the end of the file, such as a
+    corrupt extent, is rejected before anything is read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ModelError(
+            f"checkpoint truncated while reading {what}: needs {n} bytes, {left} left"
+        )
+    return fh.read(n)
 
 
 def _read_text(fh, n, what):
@@ -208,7 +218,7 @@ def _read_text(fh, n, what):
 
 def save_checkpoint(model, path):
     """Write config text plus every parameter as raw little-endian float32."""
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         cfg = model.config.to_text().encode("utf-8")
@@ -265,13 +275,9 @@ def load_checkpoint(path, dtype=np.float32, expect_config=None):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
             name = _read_text(fh, name_len, "name")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
-            shape = tuple(
-                struct.unpack("<I", _read_exact(fh, 4, f"{name} extent"))[0]
-                for _ in range(rank)
-            )
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = _read_exact(fh, 4 * count, f"{name} data")
-            stored[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{name} extents"))
+            raw = _read_exact(fh, 4 * math.prod(shape), f"{name} data")
+            stored[name] = (shape, np.frombuffer(raw, dtype="<f4"))
             order.append(name)
         if len(order) != len(stored):
             raise ModelError("checkpoint repeats a parameter name")
@@ -289,12 +295,12 @@ def load_checkpoint(path, dtype=np.float32, expect_config=None):
             f"unexpected {extra[:3]}"
         )
     for name, p in model_named.items():
-        arr = stored[name]
-        if arr.shape != p.data.shape:
+        shape, flat = stored[name]
+        if shape != p.data.shape:
             raise ModelError(
-                f"checkpoint parameter {name} has shape {arr.shape}, model wants {p.data.shape}"
+                f"checkpoint parameter {name} has shape {shape}, model wants {p.data.shape}"
             )
-        if not np.isfinite(arr).all():
+        if not np.isfinite(flat).all():
             raise ModelError(f"checkpoint parameter {name} holds non-finite values")
-        p.data[...] = arr.astype(p.data.dtype)
+        p.data[...] = flat.reshape(shape).astype(p.data.dtype)
     return model

@@ -20,6 +20,7 @@ import numpy as np
 
 from karina import engine
 from karina.data import GridFile, denormalize
+from karina.files import write_lines
 from karina.metrics import latitude_weights, weighted_moments
 from karina.padding import GridSpec
 
@@ -171,5 +172,4 @@ def drift_report(series, path):
     lines = ["lead_days,channel,mean,std,min,max"]
     for lead, name, mean, std, lo, hi in drift_rows(series):
         lines.append(f"{lead},{name},{mean!r},{std!r},{lo!r},{hi!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from karina import engine
+from karina.data import validated_lags
+from karina.files import write_lines
 
 
 class TrainingError(Exception):
@@ -61,13 +63,7 @@ class FinetunePhase:
     lr: float
 
     def validate(self):
-        lags = tuple(int(l) for l in self.lag_set)
-        if not lags:
-            raise TrainingError("a fine-tune phase needs at least one lag")
-        if len(set(lags)) != len(lags):
-            raise TrainingError(f"lags must be unique, got {lags}")
-        if any(not 0 <= l <= 23 for l in lags):
-            raise TrainingError(f"lags must sit in [0, 23] hours, got {lags}")
+        validated_lags(self.lag_set, TrainingError)
         if not self.lr > 0:
             raise TrainingError(f"phase lr must be positive, got {self.lr}")
         return self
@@ -107,8 +103,7 @@ class TrainReport:
             lines.append(
                 f"{r.epoch},{r.step},{float(r.lr)!r},{float(r.train_loss)!r},{val}"
             )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
 
 def l2_loss(pred, target, weights=None):

@@ -12,6 +12,7 @@ import pytest
 
 from karina import cli, data, model, rollout
 from karina.cli import CliError
+from test_model import flip_first_extent_bit
 
 
 def file_hash(path):
@@ -560,6 +561,40 @@ class TestAblateCommand:
         assert cli.main(["ablate", "--out", str(a), *ABLATE_ARGS]) == 0
         assert cli.main(["ablate", "--out", str(b), *ABLATE_ARGS]) == 0
         assert read_text(a / "ablation.csv") == read_text(b / "ablation.csv")
+
+
+class TestCorruptInputs:
+    """A damaged input file is a configuration error: exit 1, a
+    `config error:` line naming the problem, no FAILED marker."""
+
+    def test_non_utf8_channel_name(self, tmp_path, capsys):
+        world = tmp_path / "world.grid"
+        gf = data.generate_synthetic(data.SyntheticSpec(
+            n_days=30, seed=2, n_lat=12, n_lon=24, noise=0.05))
+        data.write_grid(gf, str(world))
+        raw = bytearray(world.read_bytes())
+        raw[24 + 4 * gf.n_time + 4] ^= 0x80  # first byte of the first name
+        world.write_bytes(bytes(raw))
+        out = tmp_path / "run"
+        assert run_train(out, "--set", f"data.path={world}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "not UTF-8" in err
+        assert not (out / "FAILED").exists()
+
+    def test_bit_flipped_extent(self, tmp_path, capsys):
+        pre = tmp_path / "pre"
+        assert run_train(pre) == 0
+        ckpt = pre / "checkpoint.krna"
+        flip_first_extent_bit(ckpt, 27)
+        out = tmp_path / "ro"
+        code = cli.main(["rollout", "--out", str(out), *SMOKE,
+                         "--set", f"rollout.checkpoint={ckpt}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "stem.conv.weight" in err
+        assert not (out / "FAILED").exists()
 
 
 class TestFailureFlagging:

@@ -141,6 +141,16 @@ class TestGridFileIO:
         with pytest.raises(D.DataError, match="truncated"):
             D.read_grid(path)
 
+    def test_non_utf8_channel_name_rejected(self, tmp_path):
+        gf = self.make()
+        path = tmp_path / "a.grid"
+        D.write_grid(gf, path)
+        raw = bytearray(path.read_bytes())
+        raw[24 + 4 * 3 + 4] ^= 0x80  # first byte of the first name
+        path.write_bytes(bytes(raw))
+        with pytest.raises(D.DataError, match="channel name 0 is not UTF-8"):
+            D.read_grid(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         gf = self.make()
         path = tmp_path / "a.grid"
@@ -406,6 +416,22 @@ class TestPairs:
         b = ssrc.lag_pairs((0,))
         assert a.x.tobytes() == b.x.tobytes()
         assert a.y.tobytes() == b.y.tobytes()
+
+    @pytest.mark.parametrize("lead", [1, 2])
+    def test_lag_pairs_equal_frame_by_frame(self, lead):
+        spec, gf, stats = self.sources(n_days=6, noise=0.03, start_day=40)
+        src = D.SyntheticSource(D.SyntheticField(spec), stats, lead=lead)
+        got = src.lag_pairs((0, 12, 23))
+        n = spec.n_days - lead
+        want_x, want_y = [], []
+        for lag in (0, 12, 23):
+            for k in range(n):
+                want_x.append(src._normalized_frame(k + lag / 24.0))
+                want_y.append(src._normalized_frame(k + lead + lag / 24.0))
+        assert got.x.tobytes() == np.stack(want_x).tobytes()
+        assert got.y.tobytes() == np.stack(want_y).tobytes()
+        assert got.input_dates.dtype == np.uint32
+        assert list(got.input_dates) == list(range(40, 40 + n)) * 3
 
     def test_nonzero_lag_shifts_inputs(self):
         spec, gf, stats = self.sources(n_days=4)

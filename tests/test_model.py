@@ -53,6 +53,19 @@ def expected_param_count(cfg, block_kernel=7):
     return n
 
 
+def flip_first_extent_bit(path, bit):
+    """XOR one bit into the first extent of a checkpoint's first
+    parameter, stem.conv.weight."""
+    raw = bytearray(path.read_bytes())
+    (cfg_len,) = struct.unpack_from("<I", raw, 8)
+    (name_len,) = struct.unpack_from("<I", raw, 16 + cfg_len)
+    assert raw[20 + cfg_len:20 + cfg_len + name_len] == b"stem.conv.weight"
+    at = 20 + cfg_len + name_len + 4
+    (extent,) = struct.unpack_from("<I", raw, at)
+    struct.pack_into("<I", raw, at, extent ^ (1 << bit))
+    path.write_bytes(bytes(raw))
+
+
 class TestModelConfig:
     def test_defaults_validate(self):
         ModelConfig().validate()
@@ -298,6 +311,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("header", [
         b"in_channels=x\n", b"stage_dims=\n", b"padding_mode=geo\xffcyclic\n",
+        b"padding_mode=geocyclia\n",
     ])
     def test_corrupt_header_is_model_error(self, tmp_path, header):
         path = tmp_path / "bad.krna"
@@ -312,6 +326,14 @@ class TestCheckpoint:
         path = tmp_path / "model.krna"
         save_checkpoint(m, path)
         with pytest.raises(ModelError, match="head.bias"):
+            load_checkpoint(path)
+
+    def test_corrupt_extent_rejected_before_read(self, tmp_path):
+        m = build(toy_config(), seed=9)
+        path = tmp_path / "model.krna"
+        save_checkpoint(m, path)
+        flip_first_extent_bit(path, 27)
+        with pytest.raises(ModelError, match="stem.conv.weight data: needs"):
             load_checkpoint(path)
 
     def test_toy_checkpoint_bytes_pinned(self, tmp_path):

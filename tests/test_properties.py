@@ -1,16 +1,20 @@
 """Property tests over random shapes: conv against its loop oracle,
 exact roll equivariance of float32 pad+conv, and the padding tables
-against the walk-the-sphere oracle.
+against the walk-the-sphere oracle.  Damaged `.grid` and `.krna`
+files either load or raise the reader's own error.
 
 Examples are derandomized, so every run draws the same cases.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from karina import engine as E
 from karina import layers as L
+from karina.data import DataError, GridFile, read_grid, write_grid
+from karina.model import ModelConfig, ModelError, build, load_checkpoint, save_checkpoint
 from karina.padding import PaddingMode, index_map, roll_lon
 from test_engine import conv_oracle
 from test_padding import oracle_pad
@@ -64,3 +68,48 @@ def test_index_map_matches_oracle(h, half_w, data, mode):
     table = index_map(p, (h, w), mode)
     got = np.where(table >= 0, field.reshape(-1)[np.maximum(table, 0)], 0.0)
     assert np.array_equal(got, oracle_pad(field, p, mode))
+
+
+# ---------------------------------------------------------------------------
+# damaged files: every truncation and sampled single-bit flips
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """name -> (pristine bytes, scratch path, reader, the reader's error)."""
+    folder = tmp_path_factory.mktemp("damaged")
+    rng = np.random.default_rng(5)
+    gf = GridFile(channels=("T", "Z2"), dates=[5, 6, 9],
+                  values=rng.standard_normal((3, 2, 4, 8)).astype(np.float32))
+    write_grid(gf, folder / "small.grid")
+    cfg = ModelConfig(in_channels=2, out_channels=2, stage_dims=(4,), depths=(1,))
+    save_checkpoint(build(cfg, seed=3), folder / "small.krna")
+    return {
+        "grid": ((folder / "small.grid").read_bytes(), folder / "bad.grid",
+                 read_grid, DataError),
+        "krna": ((folder / "small.krna").read_bytes(), folder / "bad.krna",
+                 load_checkpoint, ModelError),
+    }
+
+
+@pytest.mark.parametrize("kind", ["grid", "krna"])
+def test_every_truncation_is_rejected(small_files, kind):
+    blob, path, read, error = small_files[kind]
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(error):
+            read(path)
+
+
+@pytest.mark.parametrize("kind", ["grid", "krna"])
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(data=st.data())
+def test_single_bit_flip_loads_or_names_error(small_files, kind, data):
+    blob, path, read, error = small_files[kind]
+    bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+    flipped = bytearray(blob)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(flipped))
+    try:
+        read(path)
+    except error:
+        pass
