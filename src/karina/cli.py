@@ -44,6 +44,7 @@ from .metrics import (
     weighted_rmse,
 )
 from .model import ModelConfig, ModelError, build, load_checkpoint, save_checkpoint
+from .padding import PaddingError
 from .rollout import RolloutError, drift_report, model_fingerprint, rollout
 from .training import (
     FinetunePhase,
@@ -211,7 +212,8 @@ def _load_bundle(cfg):
         else:
             spec = _section_config(cfg, "synth", n_days=tr + va + te, seed=cfg["seed"])
             gf = generate_synthetic(spec)
-    except DataError as err:
+        gf.grid  # an odd longitude count fails here, before any output is written
+    except (DataError, PaddingError) as err:
         raise CliError(str(err)) from err
     train_gf = _slice_grid(gf, 0, tr)
     val_gf = _slice_grid(gf, tr, tr + va)

@@ -570,6 +570,14 @@ def conv2d_valid(x, w, b=None, groups=1):
     Lowered to im2col plus matmul so the contraction over the patch axis
     is a GEMM, which is bit-stable under column permutations of the
     spatial axis; that is what makes pad+conv exactly roll-equivariant.
+
+    Depthwise (Cout == Cin == groups) dx skips the dcols GEMM, whose inner
+    dimension is 1: each tap's product g * w[t] is formed as col2im adds
+    it.  The bits equal the GEMM's: each product is rounded once either
+    way, and taps still add in order t = 0..K*K-1 into +0.0.  The GEMM
+    gives +0.0 where the bare product is -0.0 (w < 0, g = 0), but from
+    +0.0 an accumulator never becomes -0.0 and x + -0.0 == x, so that
+    sign cannot show; this holds for K = 1 too, which also adds into zeros.
     """
     _same_dtype(x, w, "conv2d_valid")
     if w.data.ndim != 4 or w.data.shape[2] != w.data.shape[3]:
@@ -616,16 +624,21 @@ def conv2d_valid(x, w, b=None, groups=1):
             per_sample = np.matmul(gg, gcols.transpose(0, 1, 3, 2))
             _accumulate_samples(w, per_sample.reshape((bsz,) + w.data.shape))
         if x.requires_grad:
-            dcols = np.matmul(gw.transpose(0, 2, 1), gg).reshape(bsz, cin, k * k, hw)
-            if k == 1:
+            depthwise = cout == cin == groups
+            if depthwise:
+                # no dcols buffer: each tap's outer-product slice is formed as it is added
+                g4, wk = g.reshape(bsz, cin, ho, wo), w.data.reshape(cin, k * k, 1, 1)
+                taps = (g4 * wk[:, t] for t in range(k * k))
+            else:
+                dcols = np.matmul(gw.transpose(0, 2, 1), gg).reshape(bsz, cin, k * k, ho, wo)
+                taps = (dcols[:, :, t] for t in range(k * k))
+            if k == 1 and not depthwise:
                 dx4 = dcols.reshape(x4.shape)
             else:
                 dx4 = np.zeros_like(x4)
-                t = 0
-                for dy in range(k):
-                    for dx in range(k):
-                        dx4[:, :, dy:dy + ho, dx:dx + wo] += dcols[:, :, t].reshape(bsz, cin, ho, wo)
-                        t += 1
+                for t, tap in enumerate(taps):
+                    dy, dx = divmod(t, k)
+                    dx4[:, :, dy:dy + ho, dx:dx + wo] += tap
             _accumulate(x, dx4.reshape(x.data.shape))
 
     return _make(out_data, parents, bwd, "conv2d_valid")

@@ -1,7 +1,9 @@
 """Command-line behavior: config plumbing, artifacts, determinism."""
 
 import hashlib
+import importlib
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import karina
 from karina import cli, data, model, rollout
 from karina.cli import CliError
 from test_model import flip_first_extent_bit
@@ -564,7 +567,7 @@ class TestAblateCommand:
 
 
 class TestCorruptInputs:
-    """A damaged input file is a configuration error: exit 1, a
+    """A damaged or unusable input is a configuration error: exit 1, a
     `config error:` line naming the problem, no FAILED marker."""
 
     def test_non_utf8_channel_name(self, tmp_path, capsys):
@@ -596,6 +599,23 @@ class TestCorruptInputs:
         assert "stem.conv.weight" in err
         assert not (out / "FAILED").exists()
 
+    @pytest.mark.parametrize("source", ["grid", "synth"])
+    def test_odd_longitude_count(self, tmp_path, capsys, source):
+        if source == "grid":
+            gf = data.generate_synthetic(data.SyntheticSpec(
+                n_days=30, seed=2, n_lat=12, n_lon=24, noise=0.05))
+            odd = tmp_path / "odd.grid"
+            data.write_grid(data.GridFile(gf.channels, gf.dates, gf.values[..., :23]), str(odd))
+            setting = f"data.path={odd}"
+        else:
+            setting = "synth.n_lon=31"
+        out = tmp_path / "run"
+        assert run_train(out, "--set", setting) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "n_lon must be even" in err
+        assert list(out.iterdir()) == []   # no FAILED, no config.resolved, no checkpoint
+
 
 class TestFailureFlagging:
     def test_runtime_failure_writes_marker(self, tmp_path, capsys):
@@ -607,3 +627,38 @@ class TestFailureFlagging:
         assert code == 2
         assert (out / "FAILED").exists()
         assert "epoch" in capsys.readouterr().err
+
+
+KARINA_MODULES = [importlib.import_module(f"karina.{info.name}")
+                  for info in pkgutil.iter_modules(karina.__path__)]
+KARINA_ERRORS = sorted(
+    {obj for mod in KARINA_MODULES for obj in vars(mod).values()
+     if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == mod.__name__},
+    key=lambda cls: cls.__name__,
+)
+# exit 1 means the run was refused before it started; anything else that
+# reaches main is a failed run: exit 2 and a FAILED marker
+EXIT_ONE = {cli.CliError}
+
+
+class TestExitCodes:
+    def test_every_named_class_is_covered(self):
+        names = {cls.__name__ for cls in KARINA_ERRORS}
+        assert names >= {"CliError", "UsageError", "DataError", "ModelError", "TrainingError",
+                         "MetricsError", "PaddingError", "NonFiniteError"}
+
+    @pytest.mark.parametrize("error", KARINA_ERRORS, ids=lambda cls: cls.__name__)
+    def test_error_class_maps_to_exit_code(self, error, tmp_path, capsys, monkeypatch):
+        def command(cfg, out_dir):
+            raise error("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "train", command)
+        out = tmp_path / "run"
+        code = cli.main(["train", "--out", str(out)])
+        err = capsys.readouterr().err
+        if error in EXIT_ONE:
+            assert (code, err) == (1, "config error: boom\n")
+            assert not (out / "FAILED").exists()
+        else:
+            assert (code, err) == (2, "error: boom\n")
+            assert read_text(out / "FAILED") == "boom\n"
