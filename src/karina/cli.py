@@ -142,10 +142,12 @@ def parse_config_text(text, cfg=None, where="config"):
 def load_config(config_path=None, sets=(), seed=None):
     cfg = default_config()
     if config_path:
-        if not os.path.exists(config_path):
-            raise CliError(f"config file does not exist: {config_path}")
-        with open(config_path, "r", encoding="utf-8") as fh:
-            parse_config_text(fh.read(), cfg, where=config_path)
+        try:
+            with open(config_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise CliError(f"cannot read config file {config_path}: {err}") from None
+        parse_config_text(text, cfg, where=config_path)
     for item in sets:
         key, sep, raw = item.partition("=")
         if not sep:
@@ -506,6 +508,8 @@ def _fit_climatology(cfg, bundle):
     mode = cfg["eval.acc"]
     if mode not in ("auto", "on", "off"):
         raise CliError(f"eval.acc must be auto, on, or off, got {mode!r}")
+    if cfg["eval.harmonics"] < 0:
+        raise CliError(f"eval.harmonics must be non-negative, got {cfg['eval.harmonics']}")
     if mode == "off":
         return None
     try:
@@ -737,13 +741,13 @@ def main(argv=None):
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
+    out_dir = args.out
     try:
         cfg = load_config(args.config, args.set, args.seed)
-    except CliError as err:
+        os.makedirs(out_dir, exist_ok=True)
+    except (CliError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     try:
         return COMMANDS[args.command](cfg, out_dir)
     except CliError as err:

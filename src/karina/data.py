@@ -79,12 +79,6 @@ class GridFile:
     def grid(self):
         return GridSpec.from_shape(self.values.shape[2], self.values.shape[3])
 
-    def channel_index(self, name):
-        try:
-            return self.channels.index(name)
-        except ValueError:
-            raise DataError(f"no channel named {name!r}") from None
-
 
 def grid_file_size(gf):
     """Exact on-disk byte count for the binary layout."""
@@ -170,10 +164,6 @@ class NormStats:
     def __post_init__(self):
         if np.any(self.std <= 0):
             raise DataError("stats std must be positive")
-
-    def state_bytes(self):
-        """Hashable snapshot for split-hygiene assertions."""
-        return self.mean.tobytes() + self.std.tobytes() + self.constant.tobytes()
 
 
 def compute_norm_stats(gf):
@@ -286,8 +276,7 @@ class SyntheticField:
         self.spec = spec.validate()
         self.grid = GridSpec.from_shape(spec.n_lat, spec.n_lon)
         h, w = spec.n_lat, spec.n_lon
-        lat = 90.0 - 180.0 * (np.arange(h, dtype=np.float64) + 0.5) / h
-        lon = np.arange(w, dtype=np.float64) * (360.0 / w)
+        lat, lon = self.grid.lat_centers, self.grid.lon_centers
 
         tau = math.radians(spec.tilt_deg)
         if spec.tilt_deg == 0.0:
@@ -382,14 +371,11 @@ class SyntheticField:
         out[spec.n_blob_channels + 1] = self._orog
         return out
 
-    def frames(self, offsets):
-        return np.stack([self.frame(t) for t in offsets])
-
 
 def generate_synthetic(spec):
     """Daily GridFile sampled from the analytic fields."""
     field_set = SyntheticField(spec)
-    values = field_set.frames(np.arange(spec.n_days)).astype(np.float32)
+    values = np.stack([field_set.frame(t) for t in range(spec.n_days)]).astype(np.float32)
     dates = spec.start_day + np.arange(spec.n_days, dtype=np.uint32)
     return GridFile(channels=field_set.channels, dates=dates, values=values)
 

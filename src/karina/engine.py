@@ -68,11 +68,6 @@ def _check_finite(arr, op):
         raise NonFiniteError(f"non-finite values in output of {op}")
 
 
-def _check_dtype(arr, op):
-    if arr.dtype.type not in SUPPORTED_DTYPES:
-        raise ShapeError(f"{op}: unsupported dtype {arr.dtype}, want float32 or float64")
-
-
 def _same_dtype(a, b, op):
     if a.data.dtype != b.data.dtype:
         raise ShapeError(

@@ -16,7 +16,7 @@ in round-to-nearest for any normal v.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +32,9 @@ class MetricsError(Exception):
 
 
 def latitude_weights(grid):
-    """Per-row weights cos(lat) / mean(cos(lat)); they average to 1."""
-    cos = np.cos(np.deg2rad(np.asarray(grid.lat_centers, dtype=np.float64)))
-    return cos / cos.mean()
+    """Per-row weights cos(lat) / mean(cos(lat)); they average to 1.
+    The grid's own read-only array, not a copy."""
+    return grid.row_weights
 
 
 def row_weights(grid, weighted=True):
@@ -228,55 +228,6 @@ def regression_map(z_members, x_members, negate=False):
     dx = x - x.mean(axis=0)
     r = np.tensordot(dz, dx, axes=(0, 0)) / denom
     return -r if negate else r
-
-
-@dataclass(frozen=True)
-class Box:
-    """Geographic box; longitudes may be given in [-180, 360) and may
-    wrap across the 0 meridian.  Bounds are inclusive of cell centers."""
-
-    lon_west: float
-    lon_east: float
-    lat_south: float
-    lat_north: float
-
-    def __post_init__(self):
-        if self.lat_south > self.lat_north:
-            raise MetricsError(
-                f"box latitudes out of order: {self.lat_south} > {self.lat_north}"
-            )
-
-    def lon_mask(self, lon_centers):
-        west = self.lon_west % 360.0
-        east = self.lon_east % 360.0
-        lon = np.asarray(lon_centers, dtype=np.float64) % 360.0
-        if west <= east:
-            return (lon >= west) & (lon <= east)
-        return (lon >= west) | (lon <= east)
-
-    def lat_mask(self, lat_centers):
-        lat = np.asarray(lat_centers, dtype=np.float64)
-        return (lat >= self.lat_south) & (lat <= self.lat_north)
-
-
-NORTH_ATLANTIC_BOX = Box(lon_west=-40.0, lon_east=-10.0, lat_south=30.0, lat_north=45.0)
-
-
-def area_average(field, box, grid):
-    """Latitude-weighted mean over cells whose centers fall in the box."""
-    f, squeeze = _as_channels(field)
-    if f.shape[-2:] != (grid.n_lat, grid.n_lon):
-        raise MetricsError(
-            f"field {f.shape[-2:]} does not match grid ({grid.n_lat}, {grid.n_lon})"
-        )
-    rows = box.lat_mask(grid.lat_centers)
-    cols = box.lon_mask(grid.lon_centers)
-    if not rows.any() or not cols.any():
-        raise MetricsError("box does not intersect the grid")
-    w = latitude_weights(grid)[rows][:, None] * np.ones(int(cols.sum()))[None, :]
-    sub = f[:, rows][:, :, cols]
-    out = (w * sub).sum(axis=(-2, -1)) / w.sum()
-    return float(out[0]) if squeeze else out
 
 
 def metrics_to_csv(rows, path):

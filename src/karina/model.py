@@ -18,7 +18,7 @@ import math
 import os
 import struct
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,12 +190,9 @@ class KarinaModel(Module):
     __call__ = forward
 
 
-def build(config=None, seed=0, dtype=np.float32, **overrides):
-    """Construct a model, applying keyword overrides onto the config."""
-    config = config or ModelConfig()
-    if overrides:
-        config = replace(config, **overrides)
-    return KarinaModel(config.validate(), seed=seed, dtype=dtype)
+def build(config=None, seed=0, dtype=np.float32):
+    """Construct a model from config, or from the default ModelConfig."""
+    return KarinaModel(config or ModelConfig(), seed=seed, dtype=dtype)
 
 
 def _read_exact(fh, n, what):
@@ -236,20 +233,8 @@ def save_checkpoint(model, path):
             fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
-def checkpoint_size(model):
-    """Exact on-disk byte count for this model's checkpoint."""
-    total = 4 + 4 + 4 + len(model.config.to_text().encode("utf-8")) + 4
-    for name, p in model.named_parameters():
-        total += 4 + len(name.encode("utf-8")) + 4 + 4 * p.data.ndim + 4 * p.data.size
-    return total
-
-
-def load_checkpoint(path, dtype=np.float32, expect_config=None):
-    """Rebuild the model a checkpoint describes and fill its parameters.
-
-    expect_config, when given, must agree with the embedded config; the
-    first differing field is named in the error.
-    """
+def load_checkpoint(path, dtype=np.float32):
+    """Rebuild the model a checkpoint describes and fill its parameters."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
@@ -261,13 +246,6 @@ def load_checkpoint(path, dtype=np.float32, expect_config=None):
             )
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
         config = ModelConfig.from_text(_read_text(fh, cfg_len, "config"))
-        if expect_config is not None:
-            for f in fields(ModelConfig):
-                a, b = getattr(config, f.name), getattr(expect_config, f.name)
-                if a != b:
-                    raise ModelError(
-                        f"checkpoint config field {f.name} is {a!r}, expected {b!r}"
-                    )
         (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
         stored = {}
         order = []

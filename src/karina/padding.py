@@ -58,9 +58,10 @@ class GridSpec:
             raise PaddingError(f"n_lon must be even and at least 2, got {n_lon}")
         j = np.arange(n_lat, dtype=np.float64)
         lat = 90.0 - 180.0 * (j + 0.5) / n_lat
-        lon = 360.0 * np.arange(n_lon, dtype=np.float64) / n_lon
+        lon = np.arange(n_lon, dtype=np.float64) * (360.0 / n_lon)
         cw = np.cos(np.deg2rad(lat))
         weights = cw / cw.mean()
+        weights.setflags(write=False)
         return cls(int(n_lat), int(n_lon), lat, lon, weights)
 
     def __post_init__(self):
@@ -76,10 +77,6 @@ class GridSpec:
             raise PaddingError("row weights must be positive")
         if abs(self.row_weights.mean() - 1.0) > 1e-12:
             raise PaddingError("row weights must average to one")
-
-    @property
-    def shape(self):
-        return (self.n_lat, self.n_lon)
 
 
 def _build_table(h, w, p, mode):
@@ -106,17 +103,12 @@ def _build_table(h, w, p, mode):
 _TABLE_CACHE = {}
 
 
-def index_map(p, grid, mode):
-    """Gather table for padding a (H, W) field by p cells on each side.
-
-    grid is a GridSpec or a plain (H, W) tuple.  Entries hold the flat
-    interior index feeding each padded cell, -1 where zeros go.  Tables
-    are cached; treat them as read-only.
+def index_map(p, shape, mode):
+    """Gather table for padding an (H, W) = shape field by p cells on each
+    side.  Entries hold the flat interior index feeding each padded cell,
+    -1 where zeros go.  Tables are cached and read-only.
     """
-    if isinstance(grid, GridSpec):
-        h, w = grid.n_lat, grid.n_lon
-    else:
-        h, w = int(grid[0]), int(grid[1])
+    h, w = int(shape[0]), int(shape[1])
     mode = mode if isinstance(mode, PaddingMode) else PaddingMode.parse(mode)
     p = int(p)
     if p < 1:
@@ -148,34 +140,3 @@ def pad(x, p, mode):
 def pad_geocyclic(x, p):
     """Pad with longitude wrap and antipodal pole reflection."""
     return pad(x, p, PaddingMode.GEOCYCLIC)
-
-
-def pad_circular_zero_pole(x, p):
-    """Pad with longitude wrap; rows beyond either pole read zero."""
-    return pad(x, p, PaddingMode.CIRCULAR_ZERO_POLE)
-
-
-def pad_zero(x, p):
-    """Pad with zeros on all four sides."""
-    return pad(x, p, PaddingMode.ZERO)
-
-
-def roll_lon(a, s):
-    """Shift a field s cells eastward along the last axis, wrapping."""
-    return np.roll(a, s, axis=-1)
-
-
-def roll_lon_padded(a, s, p):
-    """Roll only the W interior columns of a padded plane by s, wrapping.
-
-    The p guard columns on each side are re-gathered from the rolled
-    interior the same way the pad op built them, i.e. this is what
-    padding a rolled field would produce if the pad were rebuilt, for
-    the longitude-wrap part of the table.  Used by equivariance checks.
-    """
-    w = a.shape[-1] - 2 * p
-    if w < 1:
-        raise PaddingError(f"padded width {a.shape[-1]} too small for pad {p}")
-    j = np.arange(a.shape[-1])
-    src = p + (j - p - s) % w
-    return a[..., src]

@@ -10,7 +10,6 @@ reproduces the loss curve and the final weights exactly.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,13 +68,6 @@ class FinetunePhase:
         return self
 
 
-PAPER_FINETUNE_PHASES = (
-    FinetunePhase((0, 12), 0.005),
-    FinetunePhase((0, 6, 12, 18), 0.0025),
-    FinetunePhase(tuple(range(24)), 0.0001),
-)
-
-
 @dataclass
 class EpochRecord:
     epoch: int
@@ -88,7 +80,6 @@ class EpochRecord:
 @dataclass
 class TrainReport:
     records: list = field(default_factory=list)
-    wall_seconds: float = 0.0
 
     @property
     def final_train_loss(self):
@@ -244,7 +235,6 @@ def train(model, pairs, cfg, val_pairs=None, loss_weights=None, state=None):
     params = model.parameters()
     rng = np.random.default_rng(cfg.seed)
     report = TrainReport()
-    started = time.perf_counter()
     global_step = 0
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
@@ -274,11 +264,10 @@ def train(model, pairs, cfg, val_pairs=None, loss_weights=None, state=None):
             epoch=epoch, step=global_step, lr=lr,
             train_loss=loss_sum / n, val_loss=val,
         ))
-    report.wall_seconds = time.perf_counter() - started
     return report
 
 
-def finetune(model, source, cfg, phases=None, val_pairs=None, loss_weights=None):
+def finetune(model, source, cfg, phases, val_pairs=None, loss_weights=None):
     """Sequential lag-augmentation phases, each at its own rate.
 
     source must provide lag_pairs(lag_set) returning aligned pair
@@ -286,8 +275,6 @@ def finetune(model, source, cfg, phases=None, val_pairs=None, loss_weights=None)
     over from phase to phase; epoch numbering in the combined report
     continues across phases.
     """
-    if phases is None:
-        phases = PAPER_FINETUNE_PHASES
     phases = [p.validate() for p in phases]
     combined = TrainReport()
     epoch_base = 0
@@ -304,5 +291,4 @@ def finetune(model, source, cfg, phases=None, val_pairs=None, loss_weights=None)
             ))
         epoch_base += phase_cfg.epochs
         step_base = combined.records[-1].step
-        combined.wall_seconds += rep.wall_seconds
     return combined

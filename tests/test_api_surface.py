@@ -1,0 +1,109 @@
+"""Every name `src/karina` defines is reached by the program itself.
+
+A name bound by a top-level `def`, `class` or assignment, or by a method
+`def`, must occur as a word somewhere besides its own definitions: in
+`src/karina`, `perfbench/` or `tests/test_acceptance.py`.  Words inside
+string literals count, because perfbench's probes look attributes up by
+name; comments do not.  Unit tests do not count: code only they call is
+not part of the program.  Dunder names are exempt, since Python calls
+them.
+"""
+
+import ast
+import io
+import re
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "karina"
+USERS = [
+    *sorted(SRC.glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
+_STRING_TOKENS = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+
+
+def definitions(source):
+    """Names bound by a top-level def, class or assignment, or a method def."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def words(source):
+    """Count of each identifier token, plus identifier words inside string
+    literals; comments do not count."""
+    counts = Counter()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            counts[tok.string] += 1
+        elif tok.type in _STRING_TOKENS:
+            counts.update(re.findall(r"[A-Za-z_]\w*", tok.string))
+    return counts
+
+
+def unreached(defining, users):
+    """module.name for each name a defining module binds that no user text
+    mentions beyond its definitions.  defining maps module name to source;
+    users is a list of source texts."""
+    defined = {mod: definitions(src) for mod, src in defining.items()}
+    times_defined = Counter(n for names in defined.values() for n in names)
+    seen = Counter()
+    for text in users:
+        seen.update(words(text))
+    return sorted({
+        f"{mod}.{name}"
+        for mod, names in defined.items()
+        for name in names
+        if seen[name] <= times_defined[name]
+    })
+
+
+def test_guard_self_test():
+    src = (
+        "A = 1\n"
+        "B, (C, D) = 2, (3, 4)\n"
+        "E: int = 5\n"
+        "def used():\n"
+        "    inner = A  # dead_in_comment\n"
+        "    return inner\n"
+        "def dead():\n"
+        "    return C\n"
+        "class K:\n"
+        "    attr = 1\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def method(self):\n"
+        "        return used()\n"
+        "    def lonely(self):\n"
+        "        return E\n"
+        "class J:\n"
+        "    def method(self):\n"
+        "        return 'by_name'\n"
+        "def by_name():\n"
+        "    pass\n"
+    )
+    caller = "K().method()\ngetattr(K, 'J')\n# dead lonely B D\n"
+    assert definitions(src) == ["A", "B", "C", "D", "E", "used", "dead", "K", "method",
+                                "lonely", "J", "method", "by_name"]
+    # method is defined twice and called once: one use beyond its definitions
+    assert unreached({"m": src}, [src, caller]) == ["m.B", "m.D", "m.dead", "m.lonely"]
+    assert unreached({"m": src}, [src]) == ["m.B", "m.D", "m.J", "m.K", "m.dead",
+                                            "m.lonely", "m.method"]
+
+
+def test_every_src_name_is_reached():
+    defining = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    users = [p.read_text(encoding="utf-8") for p in USERS]
+    assert unreached(defining, users) == []

@@ -318,6 +318,18 @@ class TestEvaluateCommand:
             _, _, metric, value = row.split(",")
             assert float(value) == {"rmse": 0.0, "acc": 1.0}[metric]
 
+    @pytest.mark.parametrize("acc", ["on", "off", "auto"])
+    def test_negative_harmonics_rejected(self, tmp_path, capsys, acc):
+        out = tmp_path / "ev"
+        code = cli.main(["evaluate", "--out", str(out), *SMOKE, *EVAL_LEADS,
+                         "--set", "eval.model=truth", "--set", f"eval.acc={acc}",
+                         "--set", "eval.harmonics=-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "eval.harmonics" in err
+        assert list(out.iterdir()) == []   # no config.resolved
+
     def test_row_count_covers_every_channel(self, tmp_path):
         """channels x leads x 2 rows when every channel has anomalies."""
         gf = data.generate_synthetic(data.SyntheticSpec(
@@ -482,7 +494,7 @@ class TestRolloutCommand:
             lead_s, name, mean_s, std_s, lo_s, hi_s = row.split(",")
             gf = data.read_grid(str(out / f"forecast_{int(lead_s):03d}.grid"))
             z = data.normalize(gf.values[0], bundle.stats)
-            c = gf.channel_index(name)
+            c = gf.channels.index(name)
             mean = float((w[0] * z[c]).sum() / (12 * 24))
             var = float((w[0] * (z[c] - mean) ** 2).sum() / (12 * 24))
             assert abs(mean - float(mean_s)) < 1e-5
@@ -615,6 +627,25 @@ class TestCorruptInputs:
         assert err.startswith("config error:")
         assert "n_lon must be even" in err
         assert list(out.iterdir()) == []   # no FAILED, no config.resolved, no checkpoint
+
+
+    @pytest.mark.parametrize("bad", ["non_utf8_config", "config_is_directory", "out_is_file"])
+    def test_unreadable_config_or_out(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "run"
+        if bad == "non_utf8_config":
+            cfg.write_bytes(b"seed=1\n# caf\xe9\n")
+        elif bad == "config_is_directory":
+            cfg.mkdir()
+        else:
+            cfg.write_text("seed=1\n")
+            out.write_bytes(b"not a directory\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert run_train(out, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert str(out if bad == "out_is_file" else cfg) in err
+        assert sorted(tmp_path.rglob("*")) == before   # nothing written
 
 
 class TestFailureFlagging:

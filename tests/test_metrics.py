@@ -55,25 +55,6 @@ def acc_oracle(f, t, ref, grid, weighted=True):
     return out
 
 
-def area_oracle(field, box, grid):
-    w = np.cos(np.deg2rad(grid.lat_centers))
-    w = w / w.mean()
-    num = den = 0.0
-    for i in range(grid.n_lat):
-        lat = grid.lat_centers[i]
-        if not box.lat_south <= lat <= box.lat_north:
-            continue
-        for j in range(grid.n_lon):
-            lon = grid.lon_centers[j] % 360.0
-            west = box.lon_west % 360.0
-            east = box.lon_east % 360.0
-            inside = west <= lon <= east if west <= east else (lon >= west or lon <= east)
-            if inside:
-                num += w[i] * field[i, j]
-                den += w[i]
-    return num / den
-
-
 def regression_oracle(z, x, negate=False):
     m = z.shape[0]
     zbar = sum(z) / m
@@ -102,6 +83,12 @@ class TestLatitudeWeights:
         want = cos / cos.mean()
         got = MT.latitude_weights(grid)
         assert np.allclose(got, want, rtol=1e-14)
+
+    def test_is_the_grids_read_only_row_weights(self):
+        grid = GridSpec.from_shape(6, 12)
+        w = MT.latitude_weights(grid)
+        assert w is grid.row_weights
+        assert not w.flags.writeable
 
     def test_single_row_normalizes_to_one(self):
         w = MT.latitude_weights(GridSpec.from_shape(1, 4))
@@ -393,79 +380,6 @@ class TestRegressionMap:
     def test_member_count_mismatch_rejected(self):
         with pytest.raises(MT.MetricsError, match="member"):
             MT.regression_map(np.array([1.0, 2.0]), np.zeros((3, 2, 2)))
-
-
-class TestAreaAverage:
-    def test_constant_field(self):
-        grid = GridSpec.from_shape(8, 16)
-        box = MT.Box(10.0, 50.0, -30.0, 30.0)
-        got = MT.area_average(np.full((8, 16), 2.5), box, grid)
-        assert got == pytest.approx(2.5, rel=1e-13)
-
-    def test_global_box_equals_global_weighted_mean(self):
-        rng = np.random.default_rng(50)
-        grid = GridSpec.from_shape(6, 12)
-        f = rng.standard_normal((6, 12))
-        box = MT.Box(0.0, 359.9, -90.0, 90.0)
-        w = MT.latitude_weights(grid)[:, None]
-        want = (w * f).sum() / (6 * 12)
-        assert MT.area_average(f, box, grid) == pytest.approx(want, rel=1e-12)
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(51)
-        grid = GridSpec.from_shape(12, 24)
-        boxes = [
-            MT.Box(-40.0, -10.0, 30.0, 45.0),
-            MT.Box(100.0, 200.0, -60.0, 10.0),
-            MT.Box(-10.0, 10.0, -8.0, 8.0),
-        ]
-        for _ in range(10):
-            f = rng.standard_normal((12, 24))
-            for box in boxes:
-                got = MT.area_average(f, box, grid)
-                want = area_oracle(f, box, grid)
-                assert got == pytest.approx(want, rel=1e-12)
-
-    def test_north_atlantic_box_on_standard_grid(self):
-        grid = GridSpec.from_shape(72, 144)
-        box = MT.NORTH_ATLANTIC_BOX
-        rows = box.lat_mask(grid.lat_centers)
-        cols = box.lon_mask(grid.lon_centers)
-        assert rows.sum() == 6
-        assert cols.sum() == 13
-        assert grid.lat_centers[rows].min() == pytest.approx(31.25)
-        assert grid.lat_centers[rows].max() == pytest.approx(43.75)
-        lons = np.asarray(grid.lon_centers)[cols]
-        assert lons.min() == pytest.approx(320.0)
-        assert lons.max() == pytest.approx(350.0)
-
-    def test_wrap_across_zero_meridian(self):
-        grid = GridSpec.from_shape(4, 36)
-        box = MT.Box(-10.0, 10.0, -90.0, 90.0)
-        cols = box.lon_mask(grid.lon_centers)
-        want = {0, 10, 350, 360 - 20}
-        got = set(np.asarray(grid.lon_centers)[cols])
-        assert got == {0.0, 10.0, 350.0}
-
-    def test_two_row_box_by_hand(self):
-        grid = GridSpec.from_shape(4, 4)
-        w = MT.latitude_weights(grid)
-        f = np.zeros((4, 4))
-        f[1, :] = 1.0
-        f[2, :] = 3.0
-        box = MT.Box(0.0, 359.0, grid.lat_centers[2], grid.lat_centers[1])
-        want = (w[1] * 4 * 1.0 + w[2] * 4 * 3.0) / (4 * (w[1] + w[2]))
-        assert MT.area_average(f, box, grid) == pytest.approx(want, rel=1e-13)
-
-    def test_empty_intersection_rejected(self):
-        grid = GridSpec.from_shape(4, 8)
-        box = MT.Box(0.0, 10.0, 89.0, 90.0)
-        with pytest.raises(MT.MetricsError, match="intersect"):
-            MT.area_average(np.zeros((4, 8)), box, grid)
-
-    def test_bad_latitude_order_rejected(self):
-        with pytest.raises(MT.MetricsError, match="order"):
-            MT.Box(0.0, 10.0, 50.0, 30.0)
 
 
 class TestMetricsCsv:

@@ -84,7 +84,7 @@ class TestRolloutBasics:
         mask = D.static_channel_mask(gf)
         assert mask.any()
         series = R.rollout(tiny_model(), init, 4, stats, static_mask=mask)
-        oi = gf.channel_index("OROG")
+        oi = gf.channels.index("OROG")
         want = D.denormalize(init, stats).astype(np.float32)[oi]
         for k in range(4):
             assert series.steps[k, oi].tobytes() == want.tobytes()

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+from karina import cli
 from karina import engine as E
 from karina import model as M
 from karina import training as T
@@ -383,15 +384,6 @@ class TestTrainLoop:
         rep.to_csv(path)
         assert path.read_text().splitlines()[1] == "0,1,0.001,0.5,"
 
-    def test_wall_time_recorded_but_not_in_csv(self, tmp_path):
-        pairs = make_pairs(np.random.default_rng(32), 2)
-        model = M.KarinaModel(tiny_config(), seed=13)
-        rep = T.train(model, pairs, T.TrainConfig(lr=1e-3, epochs=1, batch_size=2, seed=0))
-        assert rep.wall_seconds > 0
-        path = tmp_path / "c.csv"
-        rep.to_csv(path)
-        assert "seconds" not in path.read_text()
-
 
 class FakeLagSource:
     """Daily series with analytic hourly offsets: value(t) = base + t*slope
@@ -418,8 +410,9 @@ class FakeLagSource:
 
 class TestFinetune:
     def test_default_phase_schedule(self):
-        lags = [p.lag_set for p in T.PAPER_FINETUNE_PHASES]
-        lrs = [p.lr for p in T.PAPER_FINETUNE_PHASES]
+        phases = cli._parse_phases(cli.SCHEMA["finetune.phases"][1])
+        lags = [p.lag_set for p in phases]
+        lrs = [p.lr for p in phases]
         assert lags == [(0, 12), (0, 6, 12, 18), tuple(range(24))]
         assert lrs == [0.005, 0.0025, 0.0001]
 
