@@ -151,6 +151,8 @@ def fit_climatology(series, dates, n_harmonics=3):
     day numbers on any epoch.  Requires the dates to span at least two
     full annual cycles so the harmonics are identifiable.
     """
+    if n_harmonics < 0:
+        raise MetricsError(f"n_harmonics must be non-negative, got {n_harmonics}")
     series = np.asarray(series, dtype=np.float64)
     if series.ndim == 3:
         series = series[:, None]

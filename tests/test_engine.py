@@ -77,13 +77,6 @@ class TestElementwise:
         assert np.array_equal(E.mul(E.Tensor(a), E.Tensor(b)).data, a * b)
         assert np.array_equal(E.sub(E.Tensor(a), E.Tensor(b)).data, a - b)
 
-    def test_add_channel_broadcast(self):
-        x = self.rng.standard_normal((2, 3, 4, 5))
-        c = self.rng.standard_normal(3)
-        got = E.add(E.Tensor(x), E.Tensor(c)).data
-        want = x + c[None, :, None, None]
-        assert np.array_equal(got, want)
-
     def test_add_shape_mismatch_raises(self):
         with pytest.raises(E.ShapeError):
             E.add(E.Tensor(np.zeros((2, 3))), E.Tensor(np.zeros((3, 2))))
@@ -96,11 +89,6 @@ class TestElementwise:
         a = E.Parameter(self.rng.standard_normal((3, 4)), "a")
         b = E.Parameter(self.rng.standard_normal((3, 4)), "b")
         assert_grad_matches(lambda: E.sum_all(E.mul(E.add(a, b), E.sub(a, b))), [a, b])
-
-    def test_channel_bias_grad(self):
-        x = E.Parameter(self.rng.standard_normal((2, 3, 4, 5)), "x")
-        c = E.Parameter(self.rng.standard_normal(3), "c")
-        assert_grad_matches(lambda: E.mean_all(E.gelu(E.add(x, c))), [x, c])
 
 
 class TestActivations:

@@ -1,19 +1,39 @@
 """Golden bits: conv outputs, conv gradients and a trained checkpoint.
 
-Each hash was taken from the per-branch kernel that preceded the one
-batched matmul over a groups axis, and must not move under any later
-kernel rewrite; if one does, the rewrite is not bit-preserving.  The
-hashes assume numpy's bundled OpenBLAS on x86-64; another BLAS may
-round a GEMM differently.
+The output, w-gradient and b-gradient hashes date from the per-branch
+kernel that preceded the one batched matmul over a groups axis.  The
+x-gradient hashes of the K > 1 cases and the checkpoint hash date from
+the change that made dx the forward contraction on the padded upstream
+gradient.  A kernel rewrite that moves any of them is not
+bit-preserving, and must say which values moved and why.  The hashes
+are facts about numpy's bundled OpenBLAS on x86-64 with its SkylakeX
+kernel: other kernels (Haswell, Sandybridge) and other BLAS libraries
+may round a GEMM differently, so a mismatch names the active core.
 """
 
+import ctypes
+import glob
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
 from karina import cli
 from karina import engine as E
+
+
+def openblas_core():
+    """The OpenBLAS kernel numpy's bundled library picked at load, or "unknown"."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def digest(arr):
@@ -24,13 +44,13 @@ def digest(arr):
 # output and of the x, w and b gradients
 CONV_GOLDEN = {
     "dense_3x3": ((6, 8, 1, 3, 18, 34), (
-        "7fec195b5b02010c", "a74bedbd245973fe", "e076a12cf8431de4", "24790adfffaa8b58")),
+        "7fec195b5b02010c", "bd3562a630a66808", "e076a12cf8431de4", "24790adfffaa8b58")),
     "pointwise_1x1": ((8, 32, 1, 1, 16, 32), (
         "0f1e194efdc7dc84", "87cd23f8793be7bf", "cc61093e5da15661", "2ce4faa9413f00f0")),
     "depthwise_7x7": ((8, 8, 8, 7, 22, 38), (
-        "4c8bf1b305c7b255", "7f82351f6b500c58", "1eda7798742d1eda", "a79a0031ec92c037")),
+        "4c8bf1b305c7b255", "68ac3d7e7350e7b2", "1eda7798742d1eda", "a79a0031ec92c037")),
     "groups_2": ((6, 8, 2, 3, 10, 14), (
-        "1bf471ee61c14df3", "67b5f45cf88b6a27", "15c3124b5837156f", "03a98ac68ca38046")),
+        "1bf471ee61c14df3", "34785ac094f5f725", "15c3124b5837156f", "03a98ac68ca38046")),
 }
 
 
@@ -49,7 +69,7 @@ def conv_bits(cin, cout, groups, k, hp, wp):
 @pytest.mark.parametrize("case", sorted(CONV_GOLDEN))
 def test_conv_float32_bits(case):
     shape, want = CONV_GOLDEN[case]
-    assert conv_bits(*shape) == want
+    assert conv_bits(*shape) == want, f"OpenBLAS core {openblas_core()}"
 
 
 def test_one_epoch_checkpoint_bits(tmp_path):
@@ -64,5 +84,5 @@ def test_one_epoch_checkpoint_bits(tmp_path):
     blob = (tmp_path / "checkpoint.krna").read_bytes()
     assert len(blob) == 11644
     assert hashlib.sha256(blob).hexdigest() == (
-        "bdcfa9d0d639d04fdde46f7204db25311bd40728ea0dd696889d83988c8191b0"
-    )
+        "f4dd98b3a67995c0c703fa8237e9e48d7b67e42c3c249d71dfb9f6d5768bd206"
+    ), f"OpenBLAS core {openblas_core()}"

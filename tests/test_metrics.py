@@ -262,6 +262,11 @@ class TestClimatology:
         table = MT.fit_climatology(series, self.dates(800), n_harmonics=1)
         assert table.coeffs.shape[0] == 3
 
+    def test_negative_harmonic_count_rejected(self):
+        series = np.random.default_rng(46).standard_normal((800, 1, 2, 4))
+        with pytest.raises(MT.MetricsError, match="n_harmonics"):
+            MT.fit_climatology(series, self.dates(800), n_harmonics=-1)
+
 
 class TestAcc:
     def setup_method(self):

@@ -1,5 +1,7 @@
 """Property tests over random shapes: conv against its loop oracle,
-depthwise conv gradients against the dcols-GEMM formula bit for bit,
+conv gradients bit for bit against their contracts (dx is conv's own
+forward on the padded upstream gradient with the flipped, in/out-swapped
+kernel; the w and b gradients add per-sample GEMMs left to right),
 exact roll equivariance of float32 pad+conv, and the padding tables
 against the walk-the-sphere oracle.  Damaged `.grid` and `.krna`
 files either load or raise the reader's own error.
@@ -59,62 +61,69 @@ def left_to_right(per_sample):
     return acc
 
 
-def grads_by_dcols_gemm(x, w, g, groups):
-    """x, w and b gradients of conv2d_valid by the formula that preceded
-    the fused depthwise backward: dcols = gw.T @ gg for every grouping,
-    then the col2im tap loop (or a reshape for 1x1)."""
+def wb_grads_left_to_right(x, w, g, groups):
+    """w and b gradients of conv2d_valid: one GEMM per (sample, group)
+    against the forward's patch matrix, summed over samples in order."""
     x4, g4 = (x[None], g[None]) if x.ndim == 3 else (x, g)
     bsz, cin, hp, wp = x4.shape
     cout, cin_g, k, _ = w.shape
     ho, wo = hp - k + 1, wp - k + 1
     cols = sliding_window_view(x4, (k, k), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
     gcols = cols.reshape(bsz, groups, cin_g * k * k, ho * wo)
-    gw = w.reshape(groups, cout // groups, cin_g * k * k)
     gg = g4.reshape(bsz, groups, cout // groups, ho * wo)
     db = left_to_right(g4.reshape(bsz, cout, ho * wo).sum(axis=2))
     dw = left_to_right(np.matmul(gg, gcols.transpose(0, 1, 3, 2)).reshape((bsz,) + w.shape))
-    dcols = np.matmul(gw.transpose(0, 2, 1), gg).reshape(bsz, cin, k * k, ho, wo)
-    if k == 1:
-        dx = dcols.reshape(x4.shape)
-    else:
-        dx = np.zeros_like(x4)
-        t = 0
-        for dy in range(k):
-            for dxx in range(k):
-                dx[:, :, dy:dy + ho, dxx:dxx + wo] += dcols[:, :, t]
-                t += 1
-    return dx.reshape(x.shape), dw, db
+    return dw, db
+
+
+def x_grad_by_forward(w, g, groups):
+    """dx of conv2d_valid, sample by sample: its own forward on g
+    zero-padded by K-1, against each group's kernel flipped in both
+    spatial axes with its in and out channels swapped."""
+    cout, cin_g, k, _ = w.shape
+    wf = (w.reshape(groups, cout // groups, cin_g, k, k)[..., ::-1, ::-1]
+          .transpose(0, 2, 1, 3, 4).reshape(groups * cin_g, cout // groups, k, k))
+    g4 = g[None] if g.ndim == 3 else g
+    edge = ((0, 0), (k - 1, k - 1), (k - 1, k - 1))
+    with E.no_grad():
+        dx = [E.conv2d_valid(E.Tensor(np.pad(gs, edge)), E.Tensor(wf), groups=groups).data
+              for gs in g4]
+    return np.stack(dx).reshape(g.shape[:-3] + dx[0].shape)
+
+
+# grouping -> (groups, cout) for c input channels
+GROUPINGS = {"dense": lambda c: (1, c + 1), "depthwise": lambda c: (c, c),
+             "multiplier_2": lambda c: (c, 2 * c)}
 
 
 @FIXED
 @given(st.integers(1, 3), st.integers(1, 4), odd_kernels, st.integers(0, 4), st.integers(0, 4),
-       st.booleans(), st.sampled_from([np.float32, np.float64]), st.sampled_from([1, 2]),
+       st.booleans(), st.sampled_from([np.float32, np.float64]), st.sampled_from(sorted(GROUPINGS)),
        st.integers(0, 2**32 - 1))
-@example(2, 3, 1, 2, 3, False, np.float32, 1, 0)   # 1x1 depthwise
-@example(1, 2, 1, 0, 1, True, np.float64, 1, 1)    # 1x1 depthwise, rank 3
-@example(2, 3, 7, 1, 2, False, np.float32, 2, 2)   # multiplier 2: cout = 2 cin
-@example(2, 2, 1, 1, 1, False, np.float32, 2, 3)   # multiplier 2 at 1x1
-def test_depthwise_grads_equal_dcols_gemm_bits(bsz, c, k, dh, dw, rank3, dtype, mult, seed):
+@example(2, 3, 1, 2, 3, False, np.float32, "depthwise", 0)      # 1x1 depthwise
+@example(1, 2, 1, 0, 1, True, np.float64, "depthwise", 1)       # 1x1 depthwise, rank 3
+@example(2, 3, 7, 1, 2, False, np.float32, "multiplier_2", 2)   # cout = 2 cin
+@example(2, 2, 1, 1, 1, False, np.float32, "multiplier_2", 3)   # multiplier 2 at 1x1
+@example(2, 3, 3, 2, 1, False, np.float32, "dense", 4)          # dense 3x3
+@example(1, 2, 5, 1, 0, True, np.float64, "dense", 5)           # dense 5x5, rank 3
+def test_conv_x_grad_is_forward_on_padded_g_bits(bsz, c, k, dh, dw, rank3, dtype, grouping,
+                                                 seed):
+    groups, cout = GROUPINGS[grouping](c)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1 if rank3 else bsz, c, k + dh, k + dw)).astype(dtype)
     x = x[0] if rank3 else x
     # negative and -0.0 weights and zeros in g make signed-zero products
-    w = rng.standard_normal((mult * c, 1, k, k)).astype(dtype)
+    w = rng.standard_normal((cout, c // groups, k, k)).astype(dtype)
     w[rng.random(w.shape) < 0.2] = -0.0
-    g = rng.standard_normal(x.shape[:-3] + (mult * c, dh + 1, dw + 1)).astype(dtype)
+    g = rng.standard_normal(x.shape[:-3] + (cout, dh + 1, dw + 1)).astype(dtype)
     g[rng.random(g.shape) < 0.5] = 0.0
     g[rng.random(g.shape) < 0.1] = -0.0
     xt, wt, bt = (E.Parameter(a, n) for a, n in
-                  ((x, "x"), (w, "w"), (rng.standard_normal(mult * c).astype(dtype), "b")))
-    y = E.conv2d_valid(xt, wt, bt, groups=c)
-    gemms = []
-    matmul = np.matmul
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(E.np, "matmul", lambda a, b: gemms.append(a.shape) or matmul(a, b))
-        E.backward(E.sum_all(E.mul(y, E.Tensor(g))))
-    # depthwise runs only the weight-gradient GEMM; multiplier 2 keeps dcols
-    assert len(gemms) == (2 if mult == 2 else 1)
-    for got, want in zip((xt.grad, wt.grad, bt.grad), grads_by_dcols_gemm(x, w, g, c)):
+                  ((x, "x"), (w, "w"), (rng.standard_normal(cout).astype(dtype), "b")))
+    y = E.conv2d_valid(xt, wt, bt, groups=groups)
+    E.backward(E.sum_all(E.mul(y, E.Tensor(g))))
+    wants = (x_grad_by_forward(w, g, groups),) + wb_grads_left_to_right(x, w, g, groups)
+    for got, want in zip((xt.grad, wt.grad, bt.grad), wants):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
