@@ -514,7 +514,7 @@ def _fit_climatology(cfg, bundle):
         return None
     try:
         return fit_climatology(
-            bundle.train.values.astype(np.float64),
+            bundle.train.values,
             bundle.train.dates.astype(np.float64),
             n_harmonics=cfg["eval.harmonics"],
         )

@@ -22,6 +22,7 @@ Two exactness properties are load-bearing and intentional:
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -101,19 +102,32 @@ def write_grid(gf, path):
 
 
 def read_grid(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a GFLD file into one (time, channel, lat, lon) float32 array.
 
+    The header is checked against the file size before the payload is
+    allocated, and the payload is read straight into that array, so a
+    read holds one copy of the file.  An unreadable path raises
+    DataError naming it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return _read_grid(fh, os.fstat(fh.fileno()).st_size)
+    except OSError as err:
+        raise DataError(f"cannot read grid file {path}: {err}") from None
+
+
+def _read_grid(fh, size):
     def take(fmt, offset):
-        size = struct.calcsize(fmt)
-        if offset + size > len(blob):
+        n = struct.calcsize(fmt)
+        if offset + n > size:
             raise DataError(
-                f"truncated file: expected at least {offset + size} bytes, got {len(blob)}"
+                f"truncated file: expected at least {offset + n} bytes, got {size}"
             )
-        return struct.unpack_from(fmt, blob, offset), offset + size
+        return struct.unpack(fmt, fh.read(n)), offset + n
 
-    if blob[:4] != GRID_MAGIC:
-        raise DataError(f"bad magic {blob[:4]!r}")
+    magic = fh.read(4)
+    if magic != GRID_MAGIC:
+        raise DataError(f"bad magic {magic!r}")
     (version, t, c, h, w), off = take("<IIIII", 4)
     if version != GRID_VERSION:
         raise DataError(f"unsupported version {version}")
@@ -121,27 +135,26 @@ def read_grid(path):
     names = []
     for _ in range(c):
         (n,), off = take("<I", off)
-        if off + n > len(blob):
+        if off + n > size:
             raise DataError(
-                f"truncated file: expected at least {off + n} bytes, got {len(blob)}"
+                f"truncated file: expected at least {off + n} bytes, got {size}"
             )
         try:
-            names.append(blob[off:off + n].decode("utf-8"))
+            names.append(fh.read(n).decode("utf-8"))
         except UnicodeDecodeError as err:
             raise DataError(f"channel name {len(names)} is not UTF-8: {err}") from None
         off += n
-    count = t * c * h * w
-    want = off + 4 * count
-    if len(blob) < want:
-        raise DataError(f"truncated file: expected {want} bytes, got {len(blob)}")
-    if len(blob) > want:
-        raise DataError(f"trailing bytes: expected {want} bytes, got {len(blob)}")
-    values = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-    return GridFile(
-        channels=tuple(names),
-        dates=np.asarray(dates, dtype=np.uint32),
-        values=values.reshape(t, c, h, w).copy(),
-    )
+    want = off + 4 * t * c * h * w
+    if size < want:
+        raise DataError(f"truncated file: expected {want} bytes, got {size}")
+    if size > want:
+        raise DataError(f"trailing bytes: expected {want} bytes, got {size}")
+    values = np.empty((t, c, h, w), dtype="<f4")
+    got = fh.readinto(memoryview(values).cast("B"))
+    if got != values.nbytes:
+        raise DataError(f"truncated file: expected {want} bytes, got {off + got}")
+    return GridFile(channels=tuple(names), dates=np.asarray(dates, dtype=np.uint32),
+                    values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +180,16 @@ class NormStats:
 
 
 def compute_norm_stats(gf):
+    """Per-channel stats over every sample, one float64 channel at a time."""
     vals = gf.values
-    if not np.isfinite(vals).all():
-        raise DataError("training data contains non-finite values")
-    flat = vals.transpose(1, 0, 2, 3).reshape(vals.shape[1], -1).astype(np.float64)
-    lo = flat.min(axis=1)
-    hi = flat.max(axis=1)
+    c = vals.shape[1]
+    lo, hi, mean, std = (np.empty(c) for _ in range(4))
+    for k in range(c):
+        flat = vals[:, k].astype(np.float64).ravel()
+        if not np.isfinite(flat).all():
+            raise DataError("training data contains non-finite values")
+        lo[k], hi[k], mean[k], std[k] = flat.min(), flat.max(), flat.mean(), flat.std()
     constant = lo == hi
-    mean = flat.mean(axis=1)
-    std = flat.std(axis=1)
     mean[constant] = lo[constant]
     std[constant] = 1.0
     return NormStats(channels=gf.channels, mean=mean, std=std, constant=constant)
@@ -430,8 +444,8 @@ class FileSource:
         z = normalize(self.grid_file.values, self.stats)
         lead = self.lead
         return PairSet(
-            x=z[:-lead].copy(),
-            y=z[lead:].copy(),
+            x=z[:-lead],
+            y=z[lead:],
             input_dates=self.grid_file.dates[:-lead].copy(),
         )
 

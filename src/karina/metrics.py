@@ -144,16 +144,27 @@ def harmonic_design(dates, n_harmonics, period=PERIOD_DAYS):
     return np.stack(cols, axis=1)
 
 
+# lstsq's BLAS kernels round a column by its position modulo their
+# unroll width: blocks that start on a multiple of this many columns fit
+# every column to the same bits as one whole-array call (one-channel
+# blocks do not when lat*lon is not a multiple of 8)
+_FIT_ALIGN = 64
+
+
 def fit_climatology(series, dates, n_harmonics=3):
     """Least-squares harmonic fit of the annual cycle, per grid point.
 
-    series is (time, channel, lat, lon) or (time, lat, lon); dates are
-    day numbers on any epoch.  Requires the dates to span at least two
-    full annual cycles so the harmonics are identifiable.
+    series is (time, channel, lat, lon) or (time, lat, lon), float32 or
+    float64; dates are day numbers on any epoch.  Requires the dates to
+    span at least two full annual cycles so the harmonics are
+    identifiable.  The fit runs on float64 column blocks of about one
+    channel, each starting on a multiple of 64 grid points; on one BLAS
+    thread it gives the same bits as one lstsq over the whole float64
+    series (a threaded whole-array call splits columns by thread count).
     """
     if n_harmonics < 0:
         raise MetricsError(f"n_harmonics must be non-negative, got {n_harmonics}")
-    series = np.asarray(series, dtype=np.float64)
+    series = np.asarray(series)
     if series.ndim == 3:
         series = series[:, None]
     if series.ndim != 4:
@@ -161,7 +172,8 @@ def fit_climatology(series, dates, n_harmonics=3):
     dates = np.asarray(dates, dtype=np.float64)
     if dates.shape != (series.shape[0],):
         raise MetricsError(f"{dates.shape[0] if dates.ndim else 0} dates for {series.shape[0]} fields")
-    if not np.isfinite(series).all():
+    t, c, h, w = series.shape
+    if not all(np.isfinite(series[:, k]).all() for k in range(c)):
         raise MetricsError("series contains non-finite values")
     span = float(dates.max() - dates.min()) + 1.0
     if span < 2.0 * PERIOD_DAYS:
@@ -169,11 +181,15 @@ def fit_climatology(series, dates, n_harmonics=3):
             f"need at least two full annual cycles, got {span:.1f} days of coverage"
         )
     a = harmonic_design(dates, n_harmonics)
-    t, c, h, w = series.shape
     flat = series.reshape(t, c * h * w)
-    coeffs, _, rank, _ = np.linalg.lstsq(a, flat, rcond=None)
-    if rank < a.shape[1]:
-        raise MetricsError("harmonic fit is rank deficient; dates sample the cycle too sparsely")
+    coeffs = np.empty((a.shape[1], c * h * w))
+    block = _FIT_ALIGN * max(1, -(-h * w // _FIT_ALIGN))
+    for j in range(0, c * h * w, block):
+        cols = slice(j, j + block)
+        fit, _, rank, _ = np.linalg.lstsq(a, flat[:, cols].astype(np.float64), rcond=None)
+        coeffs[:, cols] = fit
+        if rank < a.shape[1]:
+            raise MetricsError("harmonic fit is rank deficient; dates sample the cycle too sparsely")
     return ClimatologyTable(
         coeffs=coeffs.reshape(1 + 2 * n_harmonics, c, h, w),
         n_harmonics=n_harmonics,

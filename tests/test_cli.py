@@ -647,6 +647,19 @@ class TestCorruptInputs:
         assert str(out if bad == "out_is_file" else cfg) in err
         assert sorted(tmp_path.rglob("*")) == before   # nothing written
 
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    def test_data_path_is_directory(self, tmp_path, capsys, command):
+        world = tmp_path / "world"
+        world.mkdir()
+        out = tmp_path / "run"
+        code = cli.main([command, "--out", str(out), *SMOKE,
+                         "--set", f"data.path={world}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"cannot read grid file {world}" in err
+        assert list(out.iterdir()) == []   # no FAILED, no config.resolved
+
 
 class TestFailureFlagging:
     def test_runtime_failure_writes_marker(self, tmp_path, capsys):

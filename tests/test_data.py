@@ -8,12 +8,17 @@ sphere-aware padding from flat padding).
 
 import math
 import os
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from karina import data as D
 from karina import metrics as MT
+from karina.model import ModelConfig, build
+from karina.training import TrainConfig, train
+from test_golden import openblas_core
 
 
 def small_spec(**kw):
@@ -22,6 +27,18 @@ def small_spec(**kw):
                 n_lat=12, n_lon=24, start_day=0)
     base.update(kw)
     return D.SyntheticSpec(**base)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw during the call;
+    numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def stats_oracle(values):
@@ -162,6 +179,33 @@ class TestGridFileIO:
         D.write_grid(gf, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_extent_claiming_more_than_the_file_is_data_error(self, tmp_path):
+        # n_lat = 2^32 - 1 claims about 1.2 TB of payload; the header
+        # check must refuse it before anything that size is allocated
+        gf = self.make()
+        path = tmp_path / "a.grid"
+        D.write_grid(gf, path)
+        raw = bytearray(path.read_bytes())
+        raw[16:20] = struct.pack("<I", 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
+        want = len(raw) - gf.values.nbytes + 4 * 3 * 3 * 0xFFFFFFFF * 8
+        with pytest.raises(D.DataError, match=f"truncated file: expected {want} bytes"):
+            D.read_grid(path)
+
+    def test_directory_is_data_error_naming_the_path(self, tmp_path):
+        with pytest.raises(D.DataError, match=f"cannot read grid file {tmp_path}"):
+            D.read_grid(tmp_path)
+
+    def test_read_holds_one_copy_of_the_payload(self, tmp_path):
+        rng = np.random.default_rng(62)
+        gf = D.GridFile(channels=("A", "B", "C"), dates=np.arange(40, dtype=np.uint32),
+                        values=rng.standard_normal((40, 3, 32, 64)).astype(np.float32))
+        path = tmp_path / "a.grid"
+        D.write_grid(gf, path)
+        back, peak = traced_peak(D.read_grid, path)
+        assert back.values.tobytes() == gf.values.tobytes()
+        assert peak < 1.1 * gf.values.nbytes, (peak, gf.values.nbytes)
+
 
 class TestNormalization:
     def noisy_file(self):
@@ -234,6 +278,37 @@ class TestNormalization:
         stats = D.compute_norm_stats(gf)
         assert D.normalize(gf.values, stats).dtype == np.float32
         assert D.normalize(gf.values.astype(np.float64), stats).dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(40, 4, 12, 24), (7, 3, 5, 10), (731, 2, 3, 7), (1, 1, 1, 2)])
+    def test_stats_bits_equal_whole_array_formula(self, shape):
+        # the formula per-channel reduction replaced: one float64
+        # transpose of every channel, reduced along axis 1
+        rng = np.random.default_rng(63)
+        vals = (rng.standard_normal(shape) * 3.0 + 250.0).astype(np.float32)
+        if shape[1] > 1:
+            vals[:, -1] = 1.5   # a constant channel
+        gf = D.GridFile(tuple(f"C{k}" for k in range(shape[1])),
+                        np.arange(shape[0], dtype=np.uint32), vals)
+        flat = vals.transpose(1, 0, 2, 3).reshape(shape[1], -1).astype(np.float64)
+        lo, hi = flat.min(axis=1), flat.max(axis=1)
+        constant = lo == hi
+        mean, std = flat.mean(axis=1), flat.std(axis=1)
+        mean[constant] = lo[constant]
+        std[constant] = 1.0
+        stats = D.compute_norm_stats(gf)
+        core = f"OpenBLAS core {openblas_core()}"
+        assert stats.mean.tobytes() == mean.tobytes(), core
+        assert stats.std.tobytes() == std.tobytes(), core
+        assert stats.constant.tobytes() == constant.tobytes(), core
+
+    def test_stats_hold_about_one_float64_channel(self):
+        rng = np.random.default_rng(64)
+        t, c, h, w = 60, 4, 32, 64
+        gf = D.GridFile(tuple(f"C{k}" for k in range(c)), np.arange(t, dtype=np.uint32),
+                        rng.standard_normal((t, c, h, w)).astype(np.float32))
+        channel = 8 * t * h * w
+        _, peak = traced_peak(D.compute_norm_stats, gf)
+        assert peak < 3 * channel, (peak, channel)
 
 
 class TestSyntheticSpec:
@@ -455,6 +530,18 @@ class TestPairs:
         src = D.SyntheticSource(D.SyntheticField(spec), stats)
         got = D.lag_augment(src, (0, 12))
         assert got.x.shape[0] == 2 * 3
+
+    def test_file_pairs_are_views_that_train_leaves_unchanged(self):
+        spec, gf, stats = self.sources(n_days=12, n_lat=8, n_lon=16, noise=0.05)
+        ps = D.FileSource(gf, stats).pairs()
+        val = D.FileSource(gf, stats, lead=2).pairs()
+        assert np.shares_memory(ps.x, ps.y)
+        before = [a.tobytes() for a in (ps.x, ps.y, val.x, val.y)]
+        cfg = ModelConfig(in_channels=len(gf.channels), out_channels=len(gf.channels),
+                          stage_dims=(4,), depths=(1,))
+        train(build(cfg, seed=1), ps, TrainConfig(epochs=2, batch_size=4, lr=0.01),
+              val_pairs=val)
+        assert [a.tobytes() for a in (ps.x, ps.y, val.x, val.y)] == before
 
     def test_pair_set_shape_check(self):
         with pytest.raises(D.DataError, match="disagree"):

@@ -5,13 +5,42 @@ wrong weight placement or normalization cannot hide inside numpy
 broadcasting.
 """
 
+import ctypes
+import glob
 import math
+import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from karina import metrics as MT
 from karina.padding import GridSpec
+from test_data import traced_peak
+from test_golden import openblas_core
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread.  A
+    threaded GEMV splits its columns where the thread count says, so a
+    whole-array lstsq rounds a few columns differently on 1 and on 2
+    threads; the bit contract is stated on one thread."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    paths = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
+    if not paths:
+        yield
+        return
+    lib = ctypes.CDLL(paths[0])
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    prev = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(prev)
 
 
 def rmse_oracle(f, t, grid, weighted=True):
@@ -266,6 +295,29 @@ class TestClimatology:
         series = np.random.default_rng(46).standard_normal((800, 1, 2, 4))
         with pytest.raises(MT.MetricsError, match="n_harmonics"):
             MT.fit_climatology(series, self.dates(800), n_harmonics=-1)
+
+    # H*W off a multiple of 8 is where per-channel lstsq blocks round
+    # differently from one whole-array call
+    @pytest.mark.parametrize("shape", [(800, 4, 8, 16), (740, 3, 5, 10), (731, 4, 9, 18),
+                                       (760, 2, 3, 7), (735, 3, 1, 6), (750, 5, 11, 22)])
+    @pytest.mark.parametrize("n_harmonics", [0, 3])
+    def test_float32_fit_bits_equal_whole_array_lstsq(self, shape, n_harmonics):
+        t = shape[0]
+        rng = np.random.default_rng(47)
+        series = (rng.standard_normal(shape) * 4.0 + 280.0).astype(np.float32)
+        dates = self.dates(t) + 17.0
+        with one_blas_thread():
+            want = np.linalg.lstsq(MT.harmonic_design(dates, n_harmonics),
+                                   series.astype(np.float64).reshape(t, -1), rcond=None)[0]
+            table = MT.fit_climatology(series, dates, n_harmonics=n_harmonics)
+        assert table.coeffs.tobytes() == want.tobytes(), f"OpenBLAS core {openblas_core()}"
+
+    def test_float32_fit_holds_about_one_float64_channel(self):
+        t, c, h, w = 740, 4, 16, 32
+        series = np.random.default_rng(48).standard_normal((t, c, h, w)).astype(np.float32)
+        channel = 8 * t * h * w
+        _, peak = traced_peak(MT.fit_climatology, series, self.dates(t))
+        assert peak < 3 * channel, (peak, channel)
 
 
 class TestAcc:
