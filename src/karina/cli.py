@@ -27,6 +27,7 @@ from .data import (
     generate_synthetic,
     normalize,
     read_grid,
+    require_daily_lags,
     static_channel_mask,
     write_grid,
 )
@@ -203,8 +204,6 @@ def _load_bundle(cfg):
     path = cfg["data.path"]
     try:
         if path:
-            if not os.path.exists(path):
-                raise CliError(f"data.path does not exist: {path}")
             gf = read_grid(path)
             spec = None
             if tr + va + te > gf.n_time:
@@ -216,7 +215,7 @@ def _load_bundle(cfg):
             gf = generate_synthetic(spec)
         gf.grid  # an odd longitude count fails here, before any output is written
     except (DataError, PaddingError) as err:
-        raise CliError(str(err)) from err
+        raise CliError(f"data.path: {err}" if path else str(err)) from err
     train_gf = _slice_grid(gf, 0, tr)
     val_gf = _slice_grid(gf, tr, tr + va)
     test_gf = _slice_grid(gf, tr + va, tr + va + te)
@@ -275,8 +274,6 @@ def _load_model(cfg, key, bundle):
     path = cfg[key]
     if not path:
         raise CliError(f"{key} is required")
-    if not os.path.exists(path):
-        raise CliError(f"{key} does not exist: {path}")
     try:
         model = load_checkpoint(path)
     except ModelError as err:
@@ -335,24 +332,31 @@ def _acc_usable_channels(test, stats, clim, weighted, leads):
     return usable
 
 
-def _score_forecasts(bundle, leads, mode, model=None, static_reset=True,
-                     weighted=True, clim=None, polar_rows=0):
-    """Mean per-channel scores over every admissible init date in the
-    test slice.  mode is one of checkpoint, truth, persistence."""
+def _check_test_slice(bundle, leads, polar_rows=0):
+    """Reject a test slice that cannot score the leads and polar rows,
+    before any output is written."""
     test = bundle.test
     if test is None:
         raise CliError("data.test_days must be positive to evaluate")
-    grid = test.grid
-    if polar_rows and 2 * polar_rows > grid.n_lat:
+    if 2 * polar_rows > test.grid.n_lat:
         raise CliError(
-            f"ablate.polar_rows {polar_rows} does not fit {grid.n_lat} rows"
+            f"ablate.polar_rows {polar_rows} does not fit {test.grid.n_lat} rows"
         )
+    if test.n_time <= max(leads):
+        raise CliError(
+            f"data.test_days ({test.n_time}) must exceed the largest lead ({max(leads)})"
+        )
+
+
+def _score_forecasts(bundle, leads, mode, model=None, static_reset=True,
+                     weighted=True, clim=None, polar_rows=0):
+    """Mean per-channel scores over every admissible init date in the
+    test slice, which _check_test_slice has passed.  mode is one of
+    checkpoint, truth, persistence."""
+    test = bundle.test
+    grid = test.grid
     max_lead = max(leads)
     n_inits = test.n_time - max_lead
-    if n_inits < 1:
-        raise CliError(
-            f"data.test_days ({test.n_time}) must exceed the largest lead ({max_lead})"
-        )
     z = normalize(test.values, bundle.stats) if mode == "checkpoint" else None
     static = bundle.static_mask if static_reset else None
     c = len(test.channels)
@@ -383,14 +387,14 @@ def _score_forecasts(bundle, leads, mode, model=None, static_reset=True,
         for L in leads:
             sample = MetricSample(
                 forecast=fields[L - 1], truth=test.values[i + L], grid=grid,
-                valid_date=float(test.dates[i + L]), lead_days=L,
+                valid_date=float(test.dates[i + L]),
             )
             rmse_sum[L] += weighted_rmse(sample, weighted=weighted)
             if acc_sum is not None:
                 sub = MetricSample(
                     forecast=np.asarray(fields[L - 1])[acc_mask],
                     truth=test.values[i + L][acc_mask], grid=grid,
-                    valid_date=float(test.dates[i + L]), lead_days=L,
+                    valid_date=float(test.dates[i + L]),
                 )
                 acc_sum[L][acc_mask] += acc(sub, clim_sub, weighted=weighted)
             if polar_sum is not None:
@@ -474,22 +478,23 @@ def cmd_finetune(cfg, out_dir):
     phases = _parse_phases(cfg["finetune.phases"])
     tcfg = _section_config(cfg, "train", seed=cfg["seed"])
     weights = _loss_weights(tcfg, bundle)
-    write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
     if bundle.spec is not None:
         # restrict the generator to the training window; the analytic
         # fields for those days are identical under the shorter spec
         train_spec = replace(bundle.spec, n_days=bundle.train.n_time)
         source = SyntheticSource(SyntheticField(train_spec), bundle.stats)
     else:
+        try:
+            require_daily_lags([lag for phase in phases for lag in phase.lag_set])
+        except DataError as err:
+            raise CliError(str(err)) from err
         source = FileSource(bundle.train, bundle.stats)
+    write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
     val_pairs = None
     if bundle.val is not None:
         val_pairs = FileSource(bundle.val, bundle.stats).pairs()
-    try:
-        report = finetune(model, source, tcfg, phases=phases,
-                          val_pairs=val_pairs, loss_weights=weights)
-    except DataError as err:
-        raise CliError(str(err)) from err
+    report = finetune(model, source, tcfg, phases=phases,
+                      val_pairs=val_pairs, loss_weights=weights)
     save_checkpoint(model, os.path.join(out_dir, "checkpoint.krna"))
     report.to_csv(os.path.join(out_dir, "finetune_report.csv"))
     print(
@@ -535,6 +540,7 @@ def cmd_evaluate(cfg, out_dir):
     model = _load_model(cfg, "eval.checkpoint", bundle) if mode == "checkpoint" else None
     leads = _validated_leads(cfg, "eval.leads")
     clim = _fit_climatology(cfg, bundle)
+    _check_test_slice(bundle, leads)
     write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
     scores = _score_forecasts(
         bundle, leads, mode, model=model,
@@ -655,6 +661,7 @@ def cmd_ablate(cfg, out_dir):
     polar_rows = cfg["ablate.polar_rows"]
     if polar_rows < 1:
         raise CliError(f"ablate.polar_rows must be positive, got {polar_rows}")
+    _check_test_slice(bundle, leads, polar_rows)
     tcfg = _section_config(cfg, "train", seed=cfg["seed"])
     weights = _loss_weights(tcfg, bundle)
     base = _section_config(cfg, "model")

@@ -165,14 +165,13 @@ def _read_grid(fh, size):
 class NormStats:
     """Per-channel mean and std from the training period.
 
-    Constant channels are flagged and get std 1, with the mean set to
-    the exact constant so their normalized values are exactly zero.
+    Constant channels get std 1, with the mean set to the exact constant
+    so their normalized values are exactly zero.
     """
 
     channels: tuple
     mean: np.ndarray
     std: np.ndarray
-    constant: np.ndarray
 
     def __post_init__(self):
         if np.any(self.std <= 0):
@@ -192,13 +191,13 @@ def compute_norm_stats(gf):
     constant = lo == hi
     mean[constant] = lo[constant]
     std[constant] = 1.0
-    return NormStats(channels=gf.channels, mean=mean, std=std, constant=constant)
+    return NormStats(channels=gf.channels, mean=mean, std=std)
 
 
 def static_channel_mask(gf):
     """Channels whose field never changes across time (boundary
-    conditions such as orography).  Distinct from the NormStats
-    constant flag, which marks channels constant across time AND space."""
+    conditions such as orography).  Distinct from the constant channels
+    of NormStats, which are constant across time AND space."""
     if gf.n_time == 1:
         return np.ones(len(gf.channels), dtype=bool)
     return np.array([
@@ -400,11 +399,11 @@ def generate_synthetic(spec):
 
 @dataclass
 class PairSet:
-    """Aligned (input, target) arrays in normalized space."""
+    """Aligned (input, target) arrays in normalized space: y[k] is the
+    day after x[k]."""
 
     x: np.ndarray
     y: np.ndarray
-    input_dates: np.ndarray | None = None
 
     def __post_init__(self):
         if self.x.shape != self.y.shape:
@@ -424,53 +423,46 @@ def validated_lags(lags, error):
     return lags
 
 
-def _check_lead(lead, n_time):
-    if lead < 1:
-        raise DataError(f"lead must be at least 1 day, got {lead}")
-    if lead >= n_time:
-        raise DataError(f"lead {lead} needs more than {n_time} records")
+def require_daily_lags(lags):
+    """A stored daily file realizes lag 0 only; any other lag raises."""
+    bad = [l for l in lags if l != 0]
+    if bad:
+        raise DataError(f"lag {bad[0]} unavailable: the file holds daily records only")
+
+
+def _check_two_records(n_time):
+    if n_time < 2:
+        raise DataError(f"a one-day lead needs at least two records, got {n_time}")
 
 
 class FileSource:
-    """Pairs from a stored daily file; only lag 0 is realizable."""
+    """One-day-ahead pairs from a stored daily file; only lag 0 is realizable."""
 
-    def __init__(self, grid_file, stats, lead=1):
-        _check_lead(lead, grid_file.n_time)
+    def __init__(self, grid_file, stats):
+        _check_two_records(grid_file.n_time)
         self.grid_file = grid_file
         self.stats = stats
-        self.lead = lead
 
     def pairs(self):
         z = normalize(self.grid_file.values, self.stats)
-        lead = self.lead
-        return PairSet(
-            x=z[:-lead],
-            y=z[lead:],
-            input_dates=self.grid_file.dates[:-lead].copy(),
-        )
+        return PairSet(x=z[:-1], y=z[1:])
 
-    def lag_pairs(self, lag_set):
-        lags = validated_lags(lag_set, DataError)
-        bad = [l for l in lags if l != 0]
-        if bad:
-            raise DataError(
-                f"lag {bad[0]} unavailable: the file holds daily records only"
-            )
+    def lag_pairs(self, lags):
+        require_daily_lags(lags)
         return self.pairs()
 
 
 class SyntheticSource:
-    """Pairs from the analytic generator; any hour lag is exact.
+    """One-day-ahead pairs from the analytic generator; any hour lag is exact.
 
     Frames are cast to float32 before normalization, matching the
     stored file, so lag 0 reproduces FileSource.pairs() bit for bit.
     """
 
-    def __init__(self, field_set, stats, lead=1):
-        _check_lead(lead, field_set.spec.n_days)
+    def __init__(self, field_set, stats):
+        _check_two_records(field_set.spec.n_days)
         self.field_set = field_set
         self.stats = stats
-        self.lead = lead
 
     def _normalized_frame(self, t):
         raw = self.field_set.frame(t).astype(np.float32)
@@ -479,12 +471,11 @@ class SyntheticSource:
     def pairs(self):
         return self.lag_pairs((0,))
 
-    def lag_pairs(self, lag_set):
+    def lag_pairs(self, lags):
         """Per lag, every day's frame is evaluated once: the target of
-        day k is the input of day k + lead."""
-        lags = validated_lags(lag_set, DataError)
+        day k is the input of day k + 1."""
         spec = self.field_set.spec
-        n = spec.n_days - self.lead
+        n = spec.n_days - 1
         z = np.empty((spec.n_days, len(spec.channels), spec.n_lat, spec.n_lon), np.float32)
         x = np.empty((len(lags) * n,) + z.shape[1:], np.float32)
         y = np.empty_like(x)
@@ -492,13 +483,12 @@ class SyntheticSource:
             offset = lag / 24.0
             for t in range(spec.n_days):
                 z[t] = self._normalized_frame(t + offset)
-            x[i * n:(i + 1) * n] = z[:-self.lead]
-            y[i * n:(i + 1) * n] = z[self.lead:]
-        dates = spec.start_day + np.arange(n, dtype=np.uint32)
-        return PairSet(x=x, y=y, input_dates=np.tile(dates, len(lags)))
+            x[i * n:(i + 1) * n] = z[:-1]
+            y[i * n:(i + 1) * n] = z[1:]
+        return PairSet(x=x, y=y)
 
 
 def lag_augment(source, lags):
-    """Augmented pair set over the given hour offsets; the source
-    decides which lags it can realize."""
+    """Augmented pair set over the given hour offsets, validated once
+    here; the source decides which lags it can realize."""
     return source.lag_pairs(validated_lags(lags, DataError))

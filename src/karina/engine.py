@@ -80,8 +80,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op", "_spent")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype.type not in SUPPORTED_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -95,14 +95,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self):
         if self.data.size != 1:
@@ -119,8 +111,8 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def __init__(self, data, name, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+    def __init__(self, data, name):
+        super().__init__(data, requires_grad=True)
         self.name = str(name)
 
     def __repr__(self):
@@ -151,15 +143,6 @@ def _accumulate_samples(t, per_sample):
         start = 1
     for k in range(start, n):
         t.grad += per_sample[k]
-
-
-def _as_batch(arr, op):
-    """View a (C,H,W) or (B,C,H,W) array as (B,C,H,W): rank 3 is a batch of one."""
-    if arr.ndim == 3:
-        return arr[None]
-    if arr.ndim == 4:
-        return arr
-    raise ShapeError(f"{op}: need (C,H,W) or (B,C,H,W), got {arr.shape}")
 
 
 def _make(out_data, parents, backward_fn, op):
@@ -387,61 +370,56 @@ def global_avg_pool(a):
 # normalization and affine maps
 
 
-def layer_norm_channels(x, gamma, beta, eps=1e-6):
-    """Normalize over the channel axis (-3) per spatial location.
+def layer_norm_channels(x, gamma, beta):
+    """Normalize a (B, C, H, W) x over channels per spatial location.
 
-    gamma, beta are (C,).  Uses the biased variance.
+    gamma, beta are (C,).  Uses the biased variance plus eps = 1e-6.
     """
     _same_dtype(x, gamma, "layer_norm_channels")
     _same_dtype(x, beta, "layer_norm_channels")
-    x4 = _as_batch(x.data, "layer_norm_channels")
-    c = x4.shape[1]
+    xd = x.data
+    c = xd.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(
             f"layer_norm_channels: gamma/beta must be ({c},), got "
             f"{gamma.data.shape} and {beta.data.shape}"
         )
-    mu = x4.mean(axis=1, keepdims=True)
-    var = ((x4 - mu) ** 2).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + x4.dtype.type(eps))
-    xhat = (x4 - mu) * inv_std
+    mu = xd.mean(axis=1, keepdims=True)
+    var = ((xd - mu) ** 2).mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + xd.dtype.type(1e-6))
+    xhat = (xd - mu) * inv_std
     gamma4 = gamma.data.reshape(c, 1, 1)
-    out_data = (xhat * gamma4 + beta.data.reshape(c, 1, 1)).reshape(x.data.shape)
+    out_data = xhat * gamma4 + beta.data.reshape(c, 1, 1)
 
     def bwd(g):
-        g4 = _as_batch(g, "layer_norm_channels")
         if gamma.requires_grad:
-            _accumulate_samples(gamma, (g4 * xhat).sum(axis=(2, 3)))
+            _accumulate_samples(gamma, (g * xhat).sum(axis=(2, 3)))
         if beta.requires_grad:
-            _accumulate_samples(beta, g4.sum(axis=(2, 3)))
+            _accumulate_samples(beta, g.sum(axis=(2, 3)))
         if x.requires_grad:
-            dxhat = g4 * gamma4
+            dxhat = g * gamma4
             m1 = dxhat.mean(axis=1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            _accumulate(x, (inv_std * (dxhat - m1 - xhat * m2)).reshape(x.data.shape))
+            _accumulate(x, inv_std * (dxhat - m1 - xhat * m2))
 
     return _make(out_data, (x, gamma, beta), bwd, "layer_norm_channels")
 
 
-def linear(x, w, b=None):
+def linear(x, w, b):
     """x @ w.T + b for x (..., In), w (Out, In), b (Out,)."""
     _same_dtype(x, w, "linear")
+    _same_dtype(x, b, "linear")
     if x.data.shape[-1] != w.data.shape[1]:
         raise ShapeError(
             f"linear: input features {x.data.shape[-1]} != weight in-features {w.data.shape[1]}"
         )
-    if b is not None:
-        _same_dtype(x, b, "linear")
-        if b.data.shape != (w.data.shape[0],):
-            raise ShapeError(f"linear: bias shape {b.data.shape} != ({w.data.shape[0]},)")
+    if b.data.shape != (w.data.shape[0],):
+        raise ShapeError(f"linear: bias shape {b.data.shape} != ({w.data.shape[0]},)")
     # one GEMM per sample (leading axis batched) so each row's result does
     # not depend on how many rows ride along; a plain 2-D GEMM blocks over
     # rows and would break micro-batch bit-equality
-    out_data = np.matmul(x.data[..., None, :], w.data.T)[..., 0, :]
-    if b is not None:
-        out_data = out_data + b.data
+    out_data = np.matmul(x.data[..., None, :], w.data.T)[..., 0, :] + b.data
     x_data = x.data
-    parents = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
         if x.requires_grad:
@@ -451,30 +429,30 @@ def linear(x, w, b=None):
         if w.requires_grad:
             per_sample = g2[:, :, None] * x2[:, None, :]
             _accumulate_samples(w, per_sample)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             _accumulate_samples(b, g2)
 
-    return _make(out_data, parents, bwd, "linear")
+    return _make(out_data, (x, w, b), bwd, "linear")
 
 
 def channel_scale(x, s):
-    """Multiply per channel: x (C,H,W) or (B,C,H,W) times s of shape (C,) or (B, C)."""
+    """Multiply per channel: x (B, C, H, W) times s of shape (C,) or (B, C)."""
     _same_dtype(x, s, "channel_scale")
-    x4 = _as_batch(x.data, "channel_scale")
-    # (C,) scales every sample alike; (B, C) gates come with rank-4 input
-    if s.data.shape not in (x4.shape[1:2], x.data.shape[:-2]):
+    # (C,) scales every sample alike; (B, C) gates one channel per sample
+    if s.data.shape not in (x.data.shape[1:2], x.data.shape[:2]):
         raise ShapeError(
             f"channel_scale: scale shape {s.data.shape} does not fit input {x.data.shape}"
         )
     per_batch = s.data.ndim == 2
     sb = s.data.reshape(s.data.shape + (1, 1))
     out_data = x.data * sb
+    x_data = x.data
 
     def bwd(g):
         if x.requires_grad:
             _accumulate(x, g * sb)
         if s.requires_grad:
-            per_sample = (_as_batch(g, "channel_scale") * x4).sum(axis=(2, 3))
+            per_sample = (g * x_data).sum(axis=(2, 3))
             if per_batch:
                 _accumulate(s, per_sample)
             else:
@@ -484,15 +462,12 @@ def channel_scale(x, s):
 
 
 def sample_scale(x, factors):
-    """Multiply each leading-axis sample by a fixed scalar (no grad to factors).
-
-    factors is a plain float (rank-3 input) or a (B,) numpy array
-    (rank-4 input).  Used for stochastic depth.
+    """Multiply each sample of a (B, C, H, W) x by its entry of the (B,)
+    array factors (no grad to factors).  Used for stochastic depth.
     """
-    _as_batch(x.data, "sample_scale")  # rank check
     f = np.asarray(factors, dtype=x.data.dtype)
-    if f.shape != x.data.shape[:-3]:
-        raise ShapeError(f"sample_scale: factors shape {f.shape} != {x.data.shape[:-3]}")
+    if f.shape != x.data.shape[:1]:
+        raise ShapeError(f"sample_scale: factors shape {f.shape} != {x.data.shape[:1]}")
     fb = f.reshape(f.shape + (1, 1, 1))
     out_data = x.data * fb
 
@@ -507,23 +482,22 @@ def sample_scale(x, factors):
 # spatial ops: gather padding and valid convolution
 
 
-def pad2d(x, table, pad_shape):
-    """Gather-style padding: out[i,j] = x[table[i,j]] or 0 where table < 0.
+def pad2d(x, table):
+    """Gather-style padding of the trailing (H, W) plane of x, whatever
+    its leading axes: out[..., i, j] = x[..., table[i, j]], or 0 where
+    table[i, j] < 0.
 
-    table is a flat int array of length prod(pad_shape) holding source
-    indices into the flattened (H, W) plane, -1 meaning zero fill.  The
-    backward pass scatter-adds with bincount, which accumulates in fixed
-    index order.
+    table is a (Hp, Wp) int array of source indices into the flattened
+    (H, W) plane, -1 meaning zero fill.  The backward pass scatter-adds
+    with bincount, which accumulates in fixed index order.
     """
-    x4 = _as_batch(x.data, "pad2d")
-    hp, wp = pad_shape
-    table = np.asarray(table, dtype=np.int64).reshape(-1)
-    if table.size != hp * wp:
-        raise ShapeError(f"pad2d: table length {table.size} != {hp}*{wp}")
-    b, c, h, w = x4.shape
+    hp, wp = table.shape
+    table = table.reshape(-1)
+    h, w = x.data.shape[-2:]
     if table.size and (table.max() >= h * w or table.min() < -1):
         raise ShapeError("pad2d: table index out of range")
-    flat = x4.reshape(b * c, h * w)
+    flat = x.data.reshape(-1, h * w)
+    rows = flat.shape[0]
     safe = np.maximum(table, 0)
     out = flat[:, safe]
     zero_mask = table < 0
@@ -536,10 +510,10 @@ def pad2d(x, table, pad_shape):
     def bwd(g):
         if not x.requires_grad:
             return
-        g4 = g.reshape(b * c, hp * wp)[:, valid]
-        dx = np.empty((b * c, h * w), dtype=np.float64)
-        for r in range(b * c):
-            dx[r] = np.bincount(src, weights=g4[r], minlength=h * w)
+        gv = g.reshape(rows, hp * wp)[:, valid]
+        dx = np.empty((rows, h * w), dtype=np.float64)
+        for r in range(rows):
+            dx[r] = np.bincount(src, weights=gv[r], minlength=h * w)
         dx = dx.astype(x.data.dtype, copy=False).reshape(x.data.shape)
         _accumulate(x, dx)
 
@@ -564,10 +538,10 @@ def _im2col_gemm(x4, w, groups):
     return np.matmul(gw, gcols).reshape(bsz, cout, ho, wo), gcols
 
 
-def conv2d_valid(x, w, b=None, groups=1):
-    """Valid cross-correlation, stride 1, input already padded.
+def conv2d_valid(x, w, b, groups=1):
+    """Valid cross-correlation plus bias, stride 1, input already padded.
 
-    x (B, Cin, Hp, Wp) or (Cin, Hp, Wp); w (Cout, Cin/groups, K, K).
+    x (B, Cin, Hp, Wp); w (Cout, Cin/groups, K, K); b (Cout,).
     Lowered to im2col plus matmul (_im2col_gemm) so the contraction over
     the patch axis is a GEMM, which is bit-stable under column
     permutations of the spatial axis; that is what makes pad+conv
@@ -588,10 +562,14 @@ def conv2d_valid(x, w, b=None, groups=1):
     (sample, group) either way, so the bits do not depend on the loop.
     """
     _same_dtype(x, w, "conv2d_valid")
-    if w.data.ndim != 4 or w.data.shape[2] != w.data.shape[3]:
-        raise ShapeError(f"conv2d_valid: weight must be (Cout, Cin/g, K, K), got {w.data.shape}")
-    x4 = _as_batch(x.data, "conv2d_valid")
-    bsz, cin, hp, wp = x4.shape
+    _same_dtype(x, b, "conv2d_valid")
+    if x.data.ndim != 4 or w.data.ndim != 4 or w.data.shape[2] != w.data.shape[3]:
+        raise ShapeError(
+            f"conv2d_valid: need x (B, Cin, Hp, Wp) and w (Cout, Cin/g, K, K), "
+            f"got {x.data.shape} and {w.data.shape}"
+        )
+    xd = x.data
+    bsz, cin, hp, wp = xd.shape
     cout, cin_g, k, _ = w.data.shape
     if groups < 1 or cin % groups or cout % groups:
         raise ShapeError(f"conv2d_valid: groups={groups} does not divide Cin={cin}, Cout={cout}")
@@ -601,22 +579,15 @@ def conv2d_valid(x, w, b=None, groups=1):
         )
     if hp < k or wp < k:
         raise ShapeError(f"conv2d_valid: kernel {k} exceeds padded extent ({hp},{wp})")
-    if b is not None:
-        _same_dtype(x, b, "conv2d_valid")
-        if b.data.shape != (cout,):
-            raise ShapeError(f"conv2d_valid: bias shape {b.data.shape} != ({cout},)")
+    if b.data.shape != (cout,):
+        raise ShapeError(f"conv2d_valid: bias shape {b.data.shape} != ({cout},)")
 
-    out, gcols = _im2col_gemm(x4, w.data, groups)
-    if b is not None:
-        out = out + b.data.reshape(1, cout, 1, 1)
-    out_data = out.reshape(x.data.shape[:-3] + out.shape[1:])
-
-    parents = (x, w) if b is None else (x, w, b)
+    out, gcols = _im2col_gemm(xd, w.data, groups)
+    out_data = out + b.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
-        g4 = _as_batch(g, "conv2d_valid")
-        gmat = g4.reshape(bsz, cout, -1)
-        if b is not None and b.requires_grad:
+        gmat = g.reshape(bsz, cout, -1)
+        if b.requires_grad:
             _accumulate_samples(b, gmat.sum(axis=2))
         if w.requires_grad:
             gg = gmat.reshape(bsz, groups, cout // groups, -1)
@@ -626,12 +597,12 @@ def conv2d_valid(x, w, b=None, groups=1):
             wf = (w.data.reshape(groups, cout // groups, cin_g, k, k)[..., ::-1, ::-1]
                   .transpose(0, 2, 1, 3, 4).reshape(cin, cout // groups, k, k))
             edge = ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1))
-            dx4 = np.empty_like(x4)
+            dx = np.empty_like(xd)
             for n in range(bsz):
-                dx4[n] = _im2col_gemm(np.pad(g4[n:n + 1], edge), wf, groups)[0][0]
-            _accumulate(x, dx4.reshape(x.data.shape))
+                dx[n] = _im2col_gemm(np.pad(g[n:n + 1], edge), wf, groups)[0][0]
+            _accumulate(x, dx)
 
-    return _make(out_data, parents, bwd, "conv2d_valid")
+    return _make(out_data, (x, w, b), bwd, "conv2d_valid")
 
 
 # ---------------------------------------------------------------------------

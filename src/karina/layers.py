@@ -71,8 +71,6 @@ class Conv2d(Module):
             )
         if rng is None:
             rng = np.random.default_rng(0)
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
         self.kernel = int(kernel)
         self.groups = int(groups)
         self.padding_mode = padding_mode
@@ -89,14 +87,12 @@ class Conv2d(Module):
 class LayerNormChannels(Module):
     """Per-location normalization over channels with learnable gain and shift."""
 
-    def __init__(self, channels, eps=1e-6, dtype=np.float32):
-        self.channels = int(channels)
-        self.eps = float(eps)
+    def __init__(self, channels, dtype=np.float32):
         self.gamma = engine.Parameter(np.ones(channels, dtype=dtype), "gamma")
         self.beta = engine.Parameter(np.zeros(channels, dtype=dtype), "beta")
 
     def __call__(self, x):
-        return engine.layer_norm_channels(x, self.gamma, self.beta, eps=self.eps)
+        return engine.layer_norm_channels(x, self.gamma, self.beta)
 
 
 class SEBlock(Module):
@@ -110,8 +106,6 @@ class SEBlock(Module):
         if rng is None:
             rng = np.random.default_rng(0)
         hidden = channels // reduction
-        self.channels = int(channels)
-        self.reduction = int(reduction)
         self.fc1_weight = engine.Parameter(
             trunc_normal(rng, (hidden, channels)).astype(dtype), "fc1_weight")
         self.fc1_bias = engine.Parameter(np.zeros(hidden, dtype=dtype), "fc1_bias")
@@ -127,7 +121,7 @@ class SEBlock(Module):
 
 
 def drop_path(x, residual, rate, train, rng=None):
-    """Residual add with stochastic depth.
+    """Residual add with stochastic depth, for (B, C, H, W) tensors.
 
     Training: each sample keeps the residual with probability 1 - rate,
     scaled by 1/(1 - rate) so the expectation is unchanged.  Inference
@@ -140,34 +134,28 @@ def drop_path(x, residual, rate, train, rng=None):
     if rng is None:
         raise LayerError("drop path in training mode needs an rng")
     keep = 1.0 - rate
-    if residual.data.ndim == 4:
-        factors = (rng.random(residual.data.shape[0]) >= rate).astype(
-            residual.data.dtype) / keep
-    else:
-        factors = float(rng.random() >= rate) / keep
+    factors = (rng.random(residual.data.shape[0]) >= rate).astype(residual.data.dtype) / keep
     return engine.add(x, engine.sample_scale(residual, factors))
 
 
 class ConvNextBlock(Module):
     """Depthwise 7x7, optional channel attention, norm, pointwise
-    expand-activate-project, learnable residual scale, stochastic depth."""
+    expand-activate-project (4x wider), learnable residual scale,
+    stochastic depth."""
 
-    def __init__(self, dim, *, kernel=7, expansion=4, se_enabled=True, reduction=4,
+    def __init__(self, dim, *, kernel=7, se_enabled=True, reduction=4,
                  layer_scale_init=1e-6, drop_path_rate=0.0,
                  padding_mode=PaddingMode.GEOCYCLIC, rng=None, dtype=np.float32):
-        if expansion < 1:
-            raise LayerError(f"expansion must be at least 1, got {expansion}")
         if rng is None:
             rng = np.random.default_rng(0)
-        self.dim = int(dim)
         self.drop_path_rate = float(drop_path_rate)
         self.dwconv = Conv2d(dim, dim, kernel, groups=dim,
                              padding_mode=padding_mode, rng=rng, dtype=dtype)
         self.se = SEBlock(dim, reduction, rng=rng, dtype=dtype) if se_enabled else None
         self.norm = LayerNormChannels(dim, dtype=dtype)
-        self.pwconv1 = Conv2d(dim, expansion * dim, 1,
+        self.pwconv1 = Conv2d(dim, 4 * dim, 1,
                               padding_mode=padding_mode, rng=rng, dtype=dtype)
-        self.pwconv2 = Conv2d(expansion * dim, dim, 1,
+        self.pwconv2 = Conv2d(4 * dim, dim, 1,
                               padding_mode=padding_mode, rng=rng, dtype=dtype)
         self.gamma = engine.Parameter(
             np.full(dim, layer_scale_init, dtype=dtype), "gamma")

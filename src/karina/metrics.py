@@ -54,15 +54,6 @@ def weighted_moments(x, w):
     return mean, centered, var
 
 
-def _as_channels(a):
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 2:
-        return a[None], True
-    if a.ndim == 3:
-        return a, False
-    raise MetricsError(f"expected a (lat, lon) or (channel, lat, lon) field, got shape {a.shape}")
-
-
 def _require_finite(a, label):
     bad = ~np.isfinite(a)
     if bad.any():
@@ -72,40 +63,40 @@ def _require_finite(a, label):
 
 @dataclass(frozen=True)
 class MetricSample:
-    """One scored (forecast, truth) pair on a grid."""
+    """One scored pair of (channel, lat, lon) forecast and truth fields."""
 
     forecast: np.ndarray
     truth: np.ndarray
     grid: GridSpec
     valid_date: float = 0.0
-    lead_days: int = 0
 
     def __post_init__(self):
-        f, _ = _as_channels(self.forecast)
-        t, _ = _as_channels(self.truth)
-        if f.shape != t.shape:
-            raise MetricsError(f"forecast {f.shape} and truth {t.shape} disagree")
-        if f.shape[-2:] != (self.grid.n_lat, self.grid.n_lon):
+        f, t = np.shape(self.forecast), np.shape(self.truth)
+        if f != t:
+            raise MetricsError(f"forecast {f} and truth {t} disagree")
+        if len(f) != 3 or f[1:] != (self.grid.n_lat, self.grid.n_lon):
             raise MetricsError(
-                f"fields {f.shape[-2:]} do not match grid "
-                f"({self.grid.n_lat}, {self.grid.n_lon})"
+                f"fields {f} are not (channel, {self.grid.n_lat}, {self.grid.n_lon}) "
+                f"to match grid"
             )
 
 
-def weighted_rmse(sample, weighted=True):
-    """Root mean square error per channel, rows weighted by cos(lat).
-
-    Returns a scalar for 2-D fields, a (channel,) vector otherwise.
-    """
-    f, squeeze = _as_channels(sample.forecast)
-    t, _ = _as_channels(sample.truth)
+def _fields(sample):
+    """The sample's forecast and truth as float64, both checked finite."""
+    f = np.asarray(sample.forecast, dtype=np.float64)
+    t = np.asarray(sample.truth, dtype=np.float64)
     _require_finite(f, "forecast")
     _require_finite(t, "truth")
+    return f, t
+
+
+def weighted_rmse(sample, weighted=True):
+    """Root mean square error per channel, rows weighted by cos(lat)."""
+    f, t = _fields(sample)
     w = row_weights(sample.grid, weighted)
     d = f - t
     ms = (w * d * d).sum(axis=(-2, -1)) / (f.shape[-2] * f.shape[-1])
-    out = np.sqrt(ms)
-    return float(out[0]) if squeeze else out
+    return np.sqrt(ms)
 
 
 @dataclass
@@ -121,24 +112,23 @@ class ClimatologyTable:
     n_harmonics: int
     fit_start: float
     fit_end: float
-    period: float = PERIOD_DAYS
 
     def evaluate(self, date):
-        doy = float(date) % self.period
+        doy = float(date) % PERIOD_DAYS
         out = self.coeffs[0].copy()
         for k in range(1, self.n_harmonics + 1):
-            ang = 2.0 * math.pi * k * doy / self.period
+            ang = 2.0 * math.pi * k * doy / PERIOD_DAYS
             out += self.coeffs[2 * k - 1] * math.cos(ang)
             out += self.coeffs[2 * k] * math.sin(ang)
         return out
 
 
-def harmonic_design(dates, n_harmonics, period=PERIOD_DAYS):
+def harmonic_design(dates, n_harmonics):
     """Design matrix [1, cos(k*omega*doy), sin(k*omega*doy)] per date."""
-    doy = np.mod(np.asarray(dates, dtype=np.float64), period)
+    doy = np.mod(np.asarray(dates, dtype=np.float64), PERIOD_DAYS)
     cols = [np.ones_like(doy)]
     for k in range(1, n_harmonics + 1):
-        ang = 2.0 * np.pi * k * doy / period
+        ang = 2.0 * np.pi * k * doy / PERIOD_DAYS
         cols.append(np.cos(ang))
         cols.append(np.sin(ang))
     return np.stack(cols, axis=1)
@@ -154,19 +144,17 @@ _FIT_ALIGN = 64
 def fit_climatology(series, dates, n_harmonics=3):
     """Least-squares harmonic fit of the annual cycle, per grid point.
 
-    series is (time, channel, lat, lon) or (time, lat, lon), float32 or
-    float64; dates are day numbers on any epoch.  Requires the dates to
-    span at least two full annual cycles so the harmonics are
-    identifiable.  The fit runs on float64 column blocks of about one
-    channel, each starting on a multiple of 64 grid points; on one BLAS
-    thread it gives the same bits as one lstsq over the whole float64
-    series (a threaded whole-array call splits columns by thread count).
+    series is (time, channel, lat, lon), float32 or float64; dates are
+    day numbers on any epoch.  Requires the dates to span at least two
+    full annual cycles so the harmonics are identifiable.  The fit runs
+    on float64 column blocks of about one channel, each starting on a
+    multiple of 64 grid points; on one BLAS thread it gives the same bits
+    as one lstsq over the whole float64 series (a threaded whole-array
+    call splits columns by thread count).
     """
     if n_harmonics < 0:
         raise MetricsError(f"n_harmonics must be non-negative, got {n_harmonics}")
     series = np.asarray(series)
-    if series.ndim == 3:
-        series = series[:, None]
     if series.ndim != 4:
         raise MetricsError(f"expected a (time, channel, lat, lon) series, got shape {series.shape}")
     dates = np.asarray(dates, dtype=np.float64)
@@ -203,15 +191,10 @@ def acc(sample, clim, weighted=True):
 
     Anomalies are deviations from clim at the sample's valid date; the
     spatial means removed inside the correlation are latitude-weighted.
-    Scalar for 2-D fields, per-channel vector otherwise.
+    Returns one value per channel.
     """
-    f, squeeze = _as_channels(sample.forecast)
-    t, _ = _as_channels(sample.truth)
-    _require_finite(f, "forecast")
-    _require_finite(t, "truth")
+    f, t = _fields(sample)
     ref = clim.evaluate(sample.valid_date)
-    if ref.ndim == 2:
-        ref = ref[None]
     if ref.shape != f.shape:
         raise MetricsError(f"climatology {ref.shape} does not cover fields {f.shape}")
     w = row_weights(sample.grid, weighted)
@@ -221,17 +204,14 @@ def acc(sample, clim, weighted=True):
         raise MetricsError("zero anomaly variance; correlation undefined")
     n = f.shape[-2] * f.shape[-1]
     num = (w * fc * tc).sum(axis=(-2, -1)) / n
-    out = num / np.sqrt(fv * tv)
-    return float(out[0]) if squeeze else out
+    return num / np.sqrt(fv * tv)
 
 
-def regression_map(z_members, x_members, negate=False):
+def regression_map(z_members, x_members):
     """Member-regression field: covariance of each point with a scalar
     index, normalized by the index standard deviation.
 
-    z_members is (member,), x_members is (member, ...field).  With
-    negate=True the map is reported for a one-sigma displacement in the
-    negative direction.
+    z_members is (member,), x_members is (member, ...field).
     """
     z = np.asarray(z_members, dtype=np.float64)
     x = np.asarray(x_members, dtype=np.float64)
@@ -244,8 +224,7 @@ def regression_map(z_members, x_members, negate=False):
     if denom == 0.0:
         raise MetricsError("index has zero variance across members")
     dx = x - x.mean(axis=0)
-    r = np.tensordot(dz, dx, axes=(0, 0)) / denom
-    return -r if negate else r
+    return np.tensordot(dz, dx, axes=(0, 0)) / denom
 
 
 def metrics_to_csv(rows, path):

@@ -110,12 +110,11 @@ class Stage(Module):
 
 
 class KarinaModel(Module):
-    """Same-resolution forecast network over (channels, lat, lon) planes."""
+    """Same-resolution forecast network over (batch, channel, lat, lon) arrays."""
 
     def __init__(self, config, seed=0, dtype=np.float32):
         config.validate()
         self.config = config
-        self.seed = int(seed)
         self.dtype = np.dtype(dtype).type
         self.mode = "train"
         mode = PaddingMode.parse(config.padding_mode)
@@ -162,14 +161,10 @@ class KarinaModel(Module):
         return sum(p.data.size for p in self.parameters())
 
     def forward(self, x):
-        if not isinstance(x, engine.Tensor):
-            x = engine.Tensor(np.asarray(x, dtype=self.dtype))
-        if x.data.dtype.type is not self.dtype:
-            raise ModelError(
-                f"input dtype {x.data.dtype} does not match model dtype {np.dtype(self.dtype)}"
-            )
-        if x.data.ndim not in (3, 4):
-            raise ModelError(f"input must be (C,H,W) or (B,C,H,W), got {x.data.shape}")
+        """Forecast for a (B, C, H, W) numpy array, cast to the model dtype."""
+        x = engine.Tensor(np.asarray(x, dtype=self.dtype))
+        if x.data.ndim != 4:
+            raise ModelError(f"input must be (B,C,H,W), got {x.data.shape}")
         if x.data.shape[-3] != self.config.in_channels:
             raise ModelError(
                 f"input has {x.data.shape[-3]} channels, model expects {self.config.in_channels}"
@@ -190,9 +185,9 @@ class KarinaModel(Module):
     __call__ = forward
 
 
-def build(config=None, seed=0, dtype=np.float32):
-    """Construct a model from config, or from the default ModelConfig."""
-    return KarinaModel(config or ModelConfig(), seed=seed, dtype=dtype)
+def build(config, seed=0, dtype=np.float32):
+    """Construct a model from a ModelConfig."""
+    return KarinaModel(config, seed=seed, dtype=dtype)
 
 
 def _read_exact(fh, n, what):
@@ -233,37 +228,46 @@ def save_checkpoint(model, path):
             fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
-def load_checkpoint(path, dtype=np.float32):
-    """Rebuild the model a checkpoint describes and fill its parameters."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise ModelError(f"not a model checkpoint (magic {magic!r})")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise ModelError(
-                f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
-            )
-        (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        config = ModelConfig.from_text(_read_text(fh, cfg_len, "config"))
-        (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
-        stored = {}
-        order = []
-        for _ in range(n_params):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _read_text(fh, name_len, "name")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
-            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{name} extents"))
-            raw = _read_exact(fh, 4 * math.prod(shape), f"{name} data")
-            stored[name] = (shape, np.frombuffer(raw, dtype="<f4"))
-            order.append(name)
-        if len(order) != len(stored):
-            raise ModelError("checkpoint repeats a parameter name")
-        trailing = fh.read(1)
-        if trailing:
-            raise ModelError("checkpoint has trailing bytes after the last parameter")
+def _read_checkpoint(fh):
+    """(config, name -> (shape, float32 values)) from an open checkpoint."""
+    magic = _read_exact(fh, 4, "magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise ModelError(f"not a model checkpoint (magic {magic!r})")
+    (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+    if version != CHECKPOINT_VERSION:
+        raise ModelError(
+            f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
+        )
+    (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
+    config = ModelConfig.from_text(_read_text(fh, cfg_len, "config"))
+    (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
+    stored = {}
+    order = []
+    for _ in range(n_params):
+        (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
+        name = _read_text(fh, name_len, "name")
+        (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
+        shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{name} extents"))
+        raw = _read_exact(fh, 4 * math.prod(shape), f"{name} data")
+        stored[name] = (shape, np.frombuffer(raw, dtype="<f4"))
+        order.append(name)
+    if len(order) != len(stored):
+        raise ModelError("checkpoint repeats a parameter name")
+    trailing = fh.read(1)
+    if trailing:
+        raise ModelError("checkpoint has trailing bytes after the last parameter")
+    return config, stored
 
-    model = KarinaModel(config, seed=0, dtype=dtype)
+
+def load_checkpoint(path):
+    """Rebuild the float32 model a checkpoint describes and fill its
+    parameters.  An unreadable path raises ModelError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            config, stored = _read_checkpoint(fh)
+    except OSError as err:
+        raise ModelError(f"cannot read checkpoint {path}: {err}") from None
+    model = KarinaModel(config)
     model_named = dict(model.named_parameters())
     missing = sorted(set(model_named) - set(stored))
     extra = sorted(set(stored) - set(model_named))
@@ -280,5 +284,6 @@ def load_checkpoint(path, dtype=np.float32):
             )
         if not np.isfinite(flat).all():
             raise ModelError(f"checkpoint parameter {name} holds non-finite values")
-        p.data[...] = flat.reshape(shape).astype(p.data.dtype)
+        p.data[...] = flat.reshape(shape)
     return model
+

@@ -105,11 +105,10 @@ _TABLE_CACHE = {}
 
 def index_map(p, shape, mode):
     """Gather table for padding an (H, W) = shape field by p cells on each
-    side.  Entries hold the flat interior index feeding each padded cell,
-    -1 where zeros go.  Tables are cached and read-only.
+    side in a PaddingMode.  Entries hold the flat interior index feeding
+    each padded cell, -1 where zeros go.  Tables are cached and read-only.
     """
     h, w = int(shape[0]), int(shape[1])
-    mode = mode if isinstance(mode, PaddingMode) else PaddingMode.parse(mode)
     p = int(p)
     if p < 1:
         raise PaddingError(f"pad width must be at least 1, got {p}")
@@ -129,12 +128,8 @@ def index_map(p, shape, mode):
 
 
 def pad(x, p, mode):
-    """Pad the (H, W) planes of a (C,H,W) or (B,C,H,W) tensor by p cells per side."""
-    if x.data.ndim not in (3, 4):
-        raise PaddingError(f"padding expects (C,H,W) or (B,C,H,W), got {x.data.shape}")
-    h, w = x.data.shape[-2:]
-    table = index_map(p, (h, w), mode)
-    return engine.pad2d(x, table, table.shape)
+    """Pad the trailing (H, W) planes of a tensor by p cells per side."""
+    return engine.pad2d(x, index_map(p, x.data.shape[-2:], mode))
 
 
 def pad_geocyclic(x, p):

@@ -44,7 +44,6 @@ def model_fingerprint(model):
 class ForecastSeries:
     init_date: float
     steps: np.ndarray              # (lead, channel, lat, lon), denormalized
-    stats: object                  # NormStats used for denormalization
     channels: tuple
     checkpoint_id: str
     final_state: np.ndarray        # last normalized state, for chaining
@@ -98,8 +97,7 @@ def rollout(model, init_state, horizon, stats, static_mask=None, init_date=0.0):
 
     grid = GridSpec.from_shape(init_state.shape[1], init_state.shape[2])
     w = latitude_weights(grid)[None, :, None]
-    # any stepper with eval() and forward() will do; not all carry a mode
-    training = getattr(model, "mode", None) == "train"
+    training = model.mode == "train"
     model.eval()
 
     steps = []
@@ -139,7 +137,6 @@ def rollout(model, init_state, horizon, stats, static_mask=None, init_date=0.0):
     return ForecastSeries(
         init_date=float(init_date),
         steps=np.array(steps, dtype=np.float32).reshape(shape),
-        stats=stats,
         channels=tuple(stats.channels),
         checkpoint_id=model_fingerprint(model),
         final_state=state,

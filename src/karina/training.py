@@ -30,8 +30,6 @@ class TrainConfig:
     weight_decay: float = 0.05
     batch_size: int = 16
     lr_min: float = 0.0
-    loss: str = "l2"
-    schedule: str = "cosine"
     seed: int = 0
     # loss-weighting switches; the caller turns them into the
     # loss_weights argument, since they need the data's grid and mask
@@ -49,10 +47,6 @@ class TrainConfig:
             raise TrainingError(f"lr_min must sit in [0, lr], got {self.lr_min}")
         if self.batch_size < 1:
             raise TrainingError(f"batch_size must be positive, got {self.batch_size}")
-        if self.loss != "l2":
-            raise TrainingError(f"unsupported loss {self.loss!r}")
-        if self.schedule != "cosine":
-            raise TrainingError(f"unsupported schedule {self.schedule!r}")
         return self
 
 
@@ -119,47 +113,41 @@ def l2_loss(pred, target, weights=None):
     return engine.scale(engine.sum_all(engine.mul(sq, engine.Tensor(w))), 1.0 / total)
 
 
+# Adam's moment decay rates and denominator floor
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 class OptimizerState:
     """Per-parameter moment buffers keyed by parameter name."""
 
-    def __init__(self, betas=(0.9, 0.999), eps=1e-8):
-        if not 0 <= betas[0] < 1 or not 0 <= betas[1] < 1:
-            raise TrainingError(f"betas must sit in [0, 1), got {betas}")
-        if not eps > 0:
-            raise TrainingError(f"eps must be positive, got {eps}")
-        self.betas = (float(betas[0]), float(betas[1]))
-        self.eps = float(eps)
+    def __init__(self):
         self.m = {}
         self.v = {}
         self.step_count = 0
 
 
-def adamw_step(params, state, lr, weight_decay=0.05, grads=None):
+def adamw_step(params, state, lr, weight_decay=0.05):
     """One decoupled-weight-decay Adam update, in place.
 
     Decay first (theta <- theta - lr*wd*theta), then the bias-corrected
-    adaptive step from the supplied or accumulated gradients.
+    adaptive step from the accumulated gradients.
     """
     params = list(params)
-    if grads is None:
-        grads = []
-        for p in params:
-            if p.grad is None:
-                name = getattr(p, "name", "<unnamed>")
-                raise TrainingError(f"parameter {name} has no gradient")
-            grads.append(p.grad)
-    elif len(grads) != len(params):
-        raise TrainingError(f"{len(grads)} gradients for {len(params)} parameters")
-    names = [getattr(p, "name", str(i)) for i, p in enumerate(params)]
+    for p in params:
+        if p.grad is None:
+            raise TrainingError(f"parameter {p.name} has no gradient")
+    names = [p.name for p in params]
     if len(set(names)) != len(names):
         raise TrainingError("optimizer needs uniquely named parameters")
 
-    b1, b2 = state.betas
+    b1, b2 = ADAM_BETAS
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    for name, p, g in zip(names, params, grads):
+    for name, p in zip(names, params):
+        g = p.grad
         dt = p.data.dtype.type
         if weight_decay:
             p.data *= dt(1.0 - lr * weight_decay)
@@ -177,7 +165,7 @@ def adamw_step(params, state, lr, weight_decay=0.05, grads=None):
         state.v[name] = v
         mhat = m / dt(bc1)
         vhat = v / dt(bc2)
-        p.data -= dt(lr) * mhat / (np.sqrt(vhat) + dt(state.eps))
+        p.data -= dt(lr) * mhat / (np.sqrt(vhat) + dt(ADAM_EPS))
 
 
 def cosine_lr(step, total_steps, lr_max, lr_min=0.0):
@@ -215,7 +203,7 @@ def evaluate_loss(model, pairs, batch_size=16, weights=None):
     return total / n
 
 
-def train(model, pairs, cfg, val_pairs=None, loss_weights=None, state=None):
+def train(model, pairs, cfg, val_pairs=None, loss_weights=None):
     """Pretraining loop: shuffled epochs of one-step-ahead regression.
 
     pairs carries aligned arrays pairs.x and pairs.y of shape
@@ -230,8 +218,7 @@ def train(model, pairs, cfg, val_pairs=None, loss_weights=None, state=None):
         raise TrainingError(
             f"pair arrays disagree: {pairs.x.shape} vs {pairs.y.shape}"
         )
-    if state is None:
-        state = OptimizerState()
+    state = OptimizerState()
     params = model.parameters()
     rng = np.random.default_rng(cfg.seed)
     report = TrainReport()

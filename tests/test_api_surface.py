@@ -1,4 +1,5 @@
-"""Every name `src/karina` defines is reached by the program itself.
+"""Every name and attribute `src/karina` defines is reached by the
+program itself.
 
 A name bound by a top-level `def`, `class` or assignment, or by a method
 `def`, must occur as a word somewhere besides its own definitions: in
@@ -7,6 +8,12 @@ string literals count, because perfbench's probes look attributes up by
 name; comments do not.  Unit tests do not count: code only they call is
 not part of the program.  Dunder names are exempt, since Python calls
 them.
+
+An attribute a class assigns on `self`, or a dataclass field, must be
+read as `.name` in `src/karina`, `perfbench/` or
+`tests/test_acceptance.py`, or occur as a word in perfbench or the
+acceptance tests (which pass some fields by keyword): a field that is
+only ever written is state nothing uses.
 """
 
 import ast
@@ -18,11 +25,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "karina"
-USERS = [
-    *sorted(SRC.glob("*.py")),
+OUTSIDE = [
     *sorted((ROOT / "perfbench").glob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
 ]
+USERS = [*sorted(SRC.glob("*.py")), *OUTSIDE]
 _STRING_TOKENS = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
 
 
@@ -70,6 +77,45 @@ def unreached(defining, users):
     })
 
 
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def attributes(source):
+    """Sorted (class, attribute) pairs: each attribute a class assigns on
+    self and each field of a dataclass."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if any(_is_dataclass(d) for d in cls.decorator_list):
+            found += [(cls.name, item.target.id) for item in cls.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+        found += [(cls.name, node.attr) for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"]
+    return sorted(set(found))
+
+
+def attribute_reads(source):
+    """Names read as .name anywhere in source."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def write_only(defining, readers, outside):
+    """Class.attribute for each attribute of the defining sources that no
+    reader reads as .name and no outside text mentions as a word."""
+    read, seen = set(), Counter()
+    for text in readers:
+        read |= attribute_reads(text)
+    for text in outside:
+        seen.update(words(text))
+    return sorted({f"{cls}.{attr}" for src in defining for cls, attr in attributes(src)
+                   if attr not in read and not seen[attr]})
+
+
 def test_guard_self_test():
     src = (
         "A = 1\n"
@@ -101,6 +147,41 @@ def test_guard_self_test():
     assert unreached({"m": src}, [src, caller]) == ["m.B", "m.D", "m.dead", "m.lonely"]
     assert unreached({"m": src}, [src]) == ["m.B", "m.D", "m.J", "m.K", "m.dead",
                                             "m.lonely", "m.method"]
+
+
+def test_attribute_guard_self_test():
+    src = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Table:\n"
+        "    coeffs: int\n"
+        "    fit_start: float\n"
+        "    period: float = 1.0\n"
+        "    LIMIT = 3\n"
+        "class Block:\n"
+        "    def __init__(self, dim):\n"
+        "        self.dim = dim\n"
+        "        self.norm, self.scale = dim, 2\n"
+        "        self.count = 0\n"
+        "    def step(self):\n"
+        "        self.count += 1\n"
+        "        return self.norm * Table(1, 0.0).coeffs\n"
+    )
+    outside = "Table(coeffs=1, fit_start=0.0)\n# period\nprobe = (Block, 'scale')\n"
+    assert attributes(src) == [("Block", "count"), ("Block", "dim"), ("Block", "norm"),
+                               ("Block", "scale"), ("Table", "coeffs"), ("Table", "fit_start"),
+                               ("Table", "period")]
+    # count is only ever incremented; period is named in a comment only
+    assert write_only([src], [src], [outside]) == ["Block.count", "Block.dim", "Table.period"]
+    assert write_only([src], [src], []) == ["Block.count", "Block.dim", "Block.scale",
+                                             "Table.fit_start", "Table.period"]
+
+
+def test_every_src_attribute_is_read():
+    defining = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    users = [p.read_text(encoding="utf-8") for p in USERS]
+    outside = [p.read_text(encoding="utf-8") for p in OUTSIDE]
+    assert write_only(defining, users, outside) == []
 
 
 def test_every_src_name_is_reached():

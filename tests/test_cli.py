@@ -107,9 +107,9 @@ class TestConfigParsing:
     def test_default_resolved_bytes_pinned(self):
         # every key, type and default, byte for byte
         text = cli.resolved_text(cli.load_config())
-        assert len(cli.SCHEMA) == 50
+        assert len(cli.SCHEMA) == 48
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "671b7dae00ad618f781a0c544787c9a1f4d17dae137fc40b3aee1012f71ce399"
+            "e1a10f9f635a0f094d862e9850695f677c8790f5e5459f76f20d2c0c6ecf65bb"
         )
 
     @pytest.mark.parametrize("section", sorted(cli.SECTIONS))
@@ -647,6 +647,20 @@ class TestCorruptInputs:
         assert str(out if bad == "out_is_file" else cfg) in err
         assert sorted(tmp_path.rglob("*")) == before   # nothing written
 
+    @pytest.mark.parametrize("command", ["finetune", "evaluate", "rollout"])
+    def test_checkpoint_path_is_directory(self, tmp_path, capsys, command):
+        ckpt = tmp_path / "checkpoint"
+        ckpt.mkdir()
+        key = {"finetune": "finetune", "evaluate": "eval", "rollout": "rollout"}[command]
+        out = tmp_path / "run"
+        code = cli.main([command, "--out", str(out), *SMOKE,
+                         "--set", f"{key}.checkpoint={ckpt}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"cannot read checkpoint {ckpt}" in err
+        assert list(out.iterdir()) == []   # no FAILED, no config.resolved
+
     @pytest.mark.parametrize("command", ["evaluate", "train"])
     def test_data_path_is_directory(self, tmp_path, capsys, command):
         world = tmp_path / "world"
@@ -659,6 +673,135 @@ class TestCorruptInputs:
         assert err.startswith("config error:")
         assert f"cannot read grid file {world}" in err
         assert list(out.iterdir()) == []   # no FAILED, no config.resolved
+
+
+class TestLateConfigErrorsWriteNothing:
+    """Mistakes that show only once the data is loaded still exit 1
+    before config.resolved or any other output is written."""
+
+    def assert_rejected(self, capsys, out, *argv):
+        assert cli.main([argv[0], "--out", str(out), *argv[1:]]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert list(out.iterdir()) == []
+
+    def test_evaluate_without_test_days(self, tmp_path, capsys):
+        self.assert_rejected(capsys, tmp_path / "ev", "evaluate", *SMOKE,
+                             "--set", "eval.model=persistence",
+                             "--set", "data.test_days=0")
+
+    def test_evaluate_lead_not_below_test_days(self, tmp_path, capsys):
+        self.assert_rejected(capsys, tmp_path / "ev", "evaluate", *SMOKE,
+                             "--set", "eval.model=persistence",
+                             "--set", "eval.leads=1,6")
+
+    def test_ablate_polar_rows_over_half_the_grid(self, tmp_path, capsys):
+        self.assert_rejected(capsys, tmp_path / "ab", "ablate", *ABLATE_ARGS,
+                             "--set", "ablate.polar_rows=7")
+
+    def test_finetune_hour_lag_on_grid_file_before_any_phase(self, tmp_path, capsys):
+        gf = data.generate_synthetic(data.SyntheticSpec(
+            n_days=30, seed=2, n_lat=12, n_lon=24, noise=0.05))
+        world = tmp_path / "world.grid"
+        data.write_grid(gf, str(world))
+        pre = tmp_path / "pre"
+        assert run_train(pre, "--set", f"data.path={world}") == 0
+        self.assert_rejected(capsys, tmp_path / "ft", "finetune", *SMOKE,
+                             "--set", f"data.path={world}",
+                             "--set", f"finetune.checkpoint={pre / 'checkpoint.krna'}",
+                             "--set", "finetune.phases=0:0.001;0,12:0.001")
+
+
+def report_loss(out):
+    """train_loss of the last epoch in out/train_report.csv."""
+    return float(read_text(out / "train_report.csv").strip().splitlines()[-1].split(",")[3])
+
+
+def bundle_of(out):
+    return cli._load_bundle(cli.parse_config_text(read_text(out / "config.resolved")))
+
+
+def metric_rows(path):
+    """(channel, lead) -> value of each rmse row of a metrics CSV."""
+    rows = read_text(path).strip().splitlines()[1:]
+    return {(c, int(l)): float(v) for c, l, m, v in (r.split(",") for r in rows)
+            if m == "rmse"}
+
+
+class TestBooleanKeys:
+    """Each boolean key has the effect its code documents."""
+
+    def zero_lr_squared_errors(self, out, *extra):
+        # at lr 0 the checkpoint holds the weights every batch saw, so the
+        # reported epoch loss is a mean over the squared errors below
+        assert run_train(out, "--set", "train.lr=0.0", "--set", "train.epochs=1",
+                         *extra) == 0
+        bundle = bundle_of(out)
+        pairs = data.FileSource(bundle.train, bundle.stats).pairs()
+        net = model.load_checkpoint(str(out / "checkpoint.krna")).eval()
+        return (net.forward(pairs.x).data.astype(np.float64) - pairs.y) ** 2, bundle
+
+    def test_lat_weighted_loss(self, tmp_path):
+        out = tmp_path / "run"
+        sq, bundle = self.zero_lr_squared_errors(out, "--set", "train.lat_weighted_loss=true")
+        w = bundle.train.grid.row_weights[:, None]
+        weighted = (w * sq).mean()
+        assert report_loss(out) == pytest.approx(weighted, rel=1e-5)
+        assert abs(weighted - sq.mean()) > 1e-3 * sq.mean()
+
+    def test_exclude_static_loss(self, tmp_path):
+        out = tmp_path / "run"
+        sq, bundle = self.zero_lr_squared_errors(out, "--set", "train.exclude_static_loss=true")
+        assert bundle.static_mask.tolist() == [False, False, False, True]   # OROG
+        dynamic = sq[:, ~bundle.static_mask].mean()
+        assert report_loss(out) == pytest.approx(dynamic, rel=1e-5)
+        assert abs(dynamic - sq.mean()) > 1e-3 * sq.mean()
+
+    def test_eval_unweighted_rmse_is_the_plain_formula(self, tmp_path):
+        out = tmp_path / "ev"
+        assert cli.main(["evaluate", "--out", str(out), *SMOKE, *EVAL_LEADS,
+                         "--set", "eval.model=persistence",
+                         "--set", "eval.weighted=false"]) == 0
+        test = bundle_of(out).test
+        v = test.values.astype(np.float64)
+        n_inits = test.n_time - 3
+        got = metric_rows(out / "metrics.csv")
+        for c, name in enumerate(test.channels):
+            for lead in (1, 2, 3):
+                want = sum(np.sqrt(((v[i, c] - v[i + lead, c]) ** 2).mean())
+                           for i in range(n_inits)) / n_inits
+                assert got[(name, lead)] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def run_both_ways(self, tmp_path, command, key):
+        """Output directories of command with key=true and key=false."""
+        pre = tmp_path / "pre"
+        assert run_train(pre) == 0
+        prefix = key.split(".")[0]
+        outs = {}
+        for flag in ("true", "false"):
+            outs[flag] = tmp_path / flag
+            assert cli.main([command, "--out", str(outs[flag]), *SMOKE, *EVAL_LEADS,
+                             "--set", f"{prefix}.checkpoint={pre / 'checkpoint.krna'}",
+                             "--set", "rollout.horizon=3", "--set", f"{key}={flag}"]) == 0
+        return outs
+
+    def test_eval_static_reset_pins_orography(self, tmp_path):
+        outs = self.run_both_ways(tmp_path, "evaluate", "eval.static_reset")
+        on, off = (metric_rows(outs[f] / "metrics.csv") for f in ("true", "false"))
+        for lead in (1, 2, 3):
+            assert on[("OROG", lead)] < 1e-6 < off[("OROG", lead)]
+
+    def test_rollout_static_reset_pins_orography(self, tmp_path):
+        outs = self.run_both_ways(tmp_path, "rollout", "rollout.static_reset")
+        bundle = bundle_of(outs["true"])
+        # the pinned state is the init day's normalized field, written
+        # back through denormalize, which float32 does not round-trip
+        init = data.normalize(bundle.gf.values[-1], bundle.stats)
+        pinned = data.denormalize(init, bundle.stats)[3].tobytes()
+        for flag, same in (("true", True), ("false", False)):
+            for k in (1, 2, 3):
+                got = data.read_grid(str(outs[flag] / f"forecast_{k:03d}.grid"))
+                assert got.channels[3] == "OROG"
+                assert (got.values[0, 3].tobytes() == pinned) is same
 
 
 class TestFailureFlagging:

@@ -216,7 +216,7 @@ class TestNormalization:
         gf = self.noisy_file()
         stats = D.compute_norm_stats(gf)
         mean, std = stats_oracle(gf.values)
-        free = ~stats.constant
+        free = gf.values.min(axis=(0, 2, 3)) < gf.values.max(axis=(0, 2, 3))
         assert np.allclose(stats.mean[free], mean[free], rtol=1e-12)
         assert np.allclose(stats.std[free], std[free], rtol=1e-12)
 
@@ -225,7 +225,7 @@ class TestNormalization:
         stats = D.compute_norm_stats(gf)
         z = D.normalize(gf.values, stats)
         for c in range(len(gf.channels)):
-            if stats.constant[c]:
+            if gf.values[:, c].min() == gf.values[:, c].max():
                 continue
             flat = z[:, c].astype(np.float64).ravel()
             assert abs(flat.mean()) < 1e-5
@@ -237,8 +237,8 @@ class TestNormalization:
         vals[:, 1] = 3.25
         gf = D.GridFile(("A", "K"), np.arange(5, dtype=np.uint32), vals)
         stats = D.compute_norm_stats(gf)
-        assert not stats.constant[0] and stats.constant[1]
-        assert stats.std[1] == 1.0
+        assert stats.std[0] != 1.0
+        assert stats.mean[1] == 3.25 and stats.std[1] == 1.0
         z = D.normalize(gf.values, stats)
         assert np.all(z[:, 1] == 0.0)
 
@@ -253,7 +253,7 @@ class TestNormalization:
         stats = D.compute_norm_stats(gf)
 
         def state(s):
-            return s.mean.tobytes() + s.std.tobytes() + s.constant.tobytes()
+            return s.mean.tobytes() + s.std.tobytes()
 
         before = state(stats)
         D.normalize(gf.values, stats)
@@ -299,7 +299,6 @@ class TestNormalization:
         core = f"OpenBLAS core {openblas_core()}"
         assert stats.mean.tobytes() == mean.tobytes(), core
         assert stats.std.tobytes() == std.tobytes(), core
-        assert stats.constant.tobytes() == constant.tobytes(), core
 
     def test_stats_hold_about_one_float64_channel(self):
         rng = np.random.default_rng(64)
@@ -440,32 +439,23 @@ class TestPairs:
         spec, gf, stats = self.sources()
         ps = D.FileSource(gf, stats).pairs()
         assert ps.x.shape[0] == 5
-        assert list(ps.input_dates) == [0, 1, 2, 3, 4]
-
-    def test_lead_two_on_three_days_gives_one_pair(self):
-        spec, gf, stats = self.sources(n_days=3)
-        ps = D.FileSource(gf, stats, lead=2).pairs()
-        assert ps.x.shape[0] == 1
+        z = D.normalize(gf.values, stats)
+        assert ps.x.tobytes() == z[:5].tobytes()   # input days 0..4
+        assert ps.y.tobytes() == z[1:].tobytes()   # each the day after
 
     def test_lead_bounds_checked(self):
-        spec, gf, stats = self.sources(n_days=3)
-        with pytest.raises(D.DataError, match="lead"):
-            D.FileSource(gf, stats, lead=3)
-        with pytest.raises(D.DataError, match="lead"):
-            D.FileSource(gf, stats, lead=0)
+        spec, gf, stats = self.sources(n_days=1)
+        with pytest.raises(D.DataError, match="one-day lead needs at least two records"):
+            D.FileSource(gf, stats)
+        with pytest.raises(D.DataError, match="one-day lead needs at least two records"):
+            D.SyntheticSource(D.SyntheticField(spec), stats)
 
     def test_target_denormalizes_to_stored_day(self):
         spec, gf, stats = self.sources()
-        ps = D.FileSource(gf, stats, lead=2).pairs()
+        ps = D.FileSource(gf, stats).pairs()
         for k in range(ps.x.shape[0]):
             back = D.denormalize(ps.y[k], stats)
-            assert np.abs(back - gf.values[k + 2]).max() < 1e-5
-
-    def test_date_arithmetic_across_year_boundary(self):
-        spec, gf, stats = self.sources(n_days=6, start_day=363)
-        ps = D.FileSource(gf, stats, lead=1).pairs()
-        target_dates = gf.dates[1:]
-        assert np.all(target_dates.astype(np.int64) - ps.input_dates.astype(np.int64) == 1)
+            assert np.abs(back - gf.values[k + 1]).max() < 1e-5
 
     def test_file_source_refuses_sub_daily_lags(self):
         spec, gf, stats = self.sources()
@@ -492,21 +482,17 @@ class TestPairs:
         assert a.x.tobytes() == b.x.tobytes()
         assert a.y.tobytes() == b.y.tobytes()
 
-    @pytest.mark.parametrize("lead", [1, 2])
-    def test_lag_pairs_equal_frame_by_frame(self, lead):
+    def test_lag_pairs_equal_frame_by_frame(self):
         spec, gf, stats = self.sources(n_days=6, noise=0.03, start_day=40)
-        src = D.SyntheticSource(D.SyntheticField(spec), stats, lead=lead)
+        src = D.SyntheticSource(D.SyntheticField(spec), stats)
         got = src.lag_pairs((0, 12, 23))
-        n = spec.n_days - lead
         want_x, want_y = [], []
         for lag in (0, 12, 23):
-            for k in range(n):
+            for k in range(spec.n_days - 1):
                 want_x.append(src._normalized_frame(k + lag / 24.0))
-                want_y.append(src._normalized_frame(k + lead + lag / 24.0))
+                want_y.append(src._normalized_frame(k + 1 + lag / 24.0))
         assert got.x.tobytes() == np.stack(want_x).tobytes()
         assert got.y.tobytes() == np.stack(want_y).tobytes()
-        assert got.input_dates.dtype == np.uint32
-        assert list(got.input_dates) == list(range(40, 40 + n)) * 3
 
     def test_nonzero_lag_shifts_inputs(self):
         spec, gf, stats = self.sources(n_days=4)
@@ -534,7 +520,7 @@ class TestPairs:
     def test_file_pairs_are_views_that_train_leaves_unchanged(self):
         spec, gf, stats = self.sources(n_days=12, n_lat=8, n_lon=16, noise=0.05)
         ps = D.FileSource(gf, stats).pairs()
-        val = D.FileSource(gf, stats, lead=2).pairs()
+        val = D.FileSource(D.GridFile(gf.channels, gf.dates[::2], gf.values[::2]), stats).pairs()
         assert np.shares_memory(ps.x, ps.y)
         before = [a.tobytes() for a in (ps.x, ps.y, val.x, val.y)]
         cfg = ModelConfig(in_channels=len(gf.channels), out_channels=len(gf.channels),

@@ -40,18 +40,17 @@ odd_kernels = st.sampled_from([1, 3, 5, 7])
 
 @FIXED
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
-       odd_kernels, st.integers(0, 4), st.integers(0, 4), st.booleans(), st.data())
-def test_conv_matches_loop_oracle(bsz, groups, cin_g, cout_g, k, dh, dw, rank3, data):
+       odd_kernels, st.integers(0, 4), st.integers(0, 4), st.data())
+def test_conv_matches_loop_oracle(bsz, groups, cin_g, cout_g, k, dh, dw, data):
     cin, cout = groups * cin_g, groups * cout_g
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    x = rng.standard_normal((1 if rank3 else bsz, cin, k + dh, k + dw))
+    x = rng.standard_normal((bsz, cin, k + dh, k + dw))
     w = rng.standard_normal((cout, cin_g, k, k))
     b = rng.standard_normal(cout)
-    got = E.conv2d_valid(E.Tensor(x[0] if rank3 else x), E.Tensor(w), E.Tensor(b),
-                         groups=groups).data
+    got = E.conv2d_valid(E.Tensor(x), E.Tensor(w), E.Tensor(b), groups=groups).data
     want = conv_oracle(x, w, b, groups)
-    assert got.shape == (want[0] if rank3 else want).shape
-    assert np.allclose(got, want[0] if rank3 else want, rtol=1e-12, atol=1e-12)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def left_to_right(per_sample):
@@ -64,14 +63,13 @@ def left_to_right(per_sample):
 def wb_grads_left_to_right(x, w, g, groups):
     """w and b gradients of conv2d_valid: one GEMM per (sample, group)
     against the forward's patch matrix, summed over samples in order."""
-    x4, g4 = (x[None], g[None]) if x.ndim == 3 else (x, g)
-    bsz, cin, hp, wp = x4.shape
+    bsz, cin, hp, wp = x.shape
     cout, cin_g, k, _ = w.shape
     ho, wo = hp - k + 1, wp - k + 1
-    cols = sliding_window_view(x4, (k, k), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    cols = sliding_window_view(x, (k, k), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
     gcols = cols.reshape(bsz, groups, cin_g * k * k, ho * wo)
-    gg = g4.reshape(bsz, groups, cout // groups, ho * wo)
-    db = left_to_right(g4.reshape(bsz, cout, ho * wo).sum(axis=2))
+    gg = g.reshape(bsz, groups, cout // groups, ho * wo)
+    db = left_to_right(g.reshape(bsz, cout, ho * wo).sum(axis=2))
     dw = left_to_right(np.matmul(gg, gcols.transpose(0, 1, 3, 2)).reshape((bsz,) + w.shape))
     return dw, db
 
@@ -79,16 +77,19 @@ def wb_grads_left_to_right(x, w, g, groups):
 def x_grad_by_forward(w, g, groups):
     """dx of conv2d_valid, sample by sample: its own forward on g
     zero-padded by K-1, against each group's kernel flipped in both
-    spatial axes with its in and out channels swapped."""
+    spatial axes with its in and out channels swapped.  The bias is -0.0,
+    the one value whose addition leaves every float, -0.0 included, as
+    it is."""
     cout, cin_g, k, _ = w.shape
     wf = (w.reshape(groups, cout // groups, cin_g, k, k)[..., ::-1, ::-1]
           .transpose(0, 2, 1, 3, 4).reshape(groups * cin_g, cout // groups, k, k))
-    g4 = g[None] if g.ndim == 3 else g
-    edge = ((0, 0), (k - 1, k - 1), (k - 1, k - 1))
+    no_bias = E.Tensor(np.full(groups * cin_g, -0.0, dtype=w.dtype))
+    edge = ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1))
     with E.no_grad():
-        dx = [E.conv2d_valid(E.Tensor(np.pad(gs, edge)), E.Tensor(wf), groups=groups).data
-              for gs in g4]
-    return np.stack(dx).reshape(g.shape[:-3] + dx[0].shape)
+        dx = [E.conv2d_valid(E.Tensor(np.pad(g[n:n + 1], edge)), E.Tensor(wf), no_bias,
+                             groups=groups).data[0]
+              for n in range(g.shape[0])]
+    return np.stack(dx)
 
 
 # grouping -> (groups, cout) for c input channels
@@ -98,24 +99,22 @@ GROUPINGS = {"dense": lambda c: (1, c + 1), "depthwise": lambda c: (c, c),
 
 @FIXED
 @given(st.integers(1, 3), st.integers(1, 4), odd_kernels, st.integers(0, 4), st.integers(0, 4),
-       st.booleans(), st.sampled_from([np.float32, np.float64]), st.sampled_from(sorted(GROUPINGS)),
+       st.sampled_from([np.float32, np.float64]), st.sampled_from(sorted(GROUPINGS)),
        st.integers(0, 2**32 - 1))
-@example(2, 3, 1, 2, 3, False, np.float32, "depthwise", 0)      # 1x1 depthwise
-@example(1, 2, 1, 0, 1, True, np.float64, "depthwise", 1)       # 1x1 depthwise, rank 3
-@example(2, 3, 7, 1, 2, False, np.float32, "multiplier_2", 2)   # cout = 2 cin
-@example(2, 2, 1, 1, 1, False, np.float32, "multiplier_2", 3)   # multiplier 2 at 1x1
-@example(2, 3, 3, 2, 1, False, np.float32, "dense", 4)          # dense 3x3
-@example(1, 2, 5, 1, 0, True, np.float64, "dense", 5)           # dense 5x5, rank 3
-def test_conv_x_grad_is_forward_on_padded_g_bits(bsz, c, k, dh, dw, rank3, dtype, grouping,
-                                                 seed):
+@example(2, 3, 1, 2, 3, np.float32, "depthwise", 0)      # 1x1 depthwise
+@example(1, 2, 1, 0, 1, np.float64, "depthwise", 1)      # 1x1 depthwise, batch of one
+@example(2, 3, 7, 1, 2, np.float32, "multiplier_2", 2)   # cout = 2 cin
+@example(2, 2, 1, 1, 1, np.float32, "multiplier_2", 3)   # multiplier 2 at 1x1
+@example(2, 3, 3, 2, 1, np.float32, "dense", 4)          # dense 3x3
+@example(1, 2, 5, 1, 0, np.float64, "dense", 5)          # dense 5x5, batch of one
+def test_conv_x_grad_is_forward_on_padded_g_bits(bsz, c, k, dh, dw, dtype, grouping, seed):
     groups, cout = GROUPINGS[grouping](c)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((1 if rank3 else bsz, c, k + dh, k + dw)).astype(dtype)
-    x = x[0] if rank3 else x
+    x = rng.standard_normal((bsz, c, k + dh, k + dw)).astype(dtype)
     # negative and -0.0 weights and zeros in g make signed-zero products
     w = rng.standard_normal((cout, c // groups, k, k)).astype(dtype)
     w[rng.random(w.shape) < 0.2] = -0.0
-    g = rng.standard_normal(x.shape[:-3] + (cout, dh + 1, dw + 1)).astype(dtype)
+    g = rng.standard_normal((bsz, cout, dh + 1, dw + 1)).astype(dtype)
     g[rng.random(g.shape) < 0.5] = 0.0
     g[rng.random(g.shape) < 0.1] = -0.0
     xt, wt, bt = (E.Parameter(a, n) for a, n in

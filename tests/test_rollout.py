@@ -33,6 +33,8 @@ def tiny_model(seed=0):
 class Gain:
     """Fake stepper multiplying the state by a fixed factor."""
 
+    mode = "eval"
+
     def __init__(self, factor):
         self.factor = np.float32(factor)
 
@@ -48,6 +50,8 @@ class Gain:
 
 class Constant:
     """Fake stepper always forecasting zero in normalized space."""
+
+    mode = "eval"
 
     def eval(self):
         pass

@@ -196,12 +196,6 @@ class TestAdamWStep:
         T.adamw_step([p], T.OptimizerState(), lr=0.0, weight_decay=0.05)
         assert p.data.tobytes() == before
 
-    def test_state_validation(self):
-        with pytest.raises(T.TrainingError, match="betas"):
-            T.OptimizerState(betas=(1.0, 0.999))
-        with pytest.raises(T.TrainingError, match="eps"):
-            T.OptimizerState(eps=0.0)
-
     def test_step_count_increments(self):
         p = E.Parameter(np.zeros(2), name="w")
         state = T.OptimizerState()
@@ -239,8 +233,6 @@ class TestTrainConfig:
         (dict(epochs=0), "epochs"),
         (dict(lr_min=2e-3), "lr_min"),
         (dict(batch_size=0), "batch_size"),
-        (dict(loss="l1"), "loss"),
-        (dict(schedule="step"), "schedule"),
     ])
     def test_invalid_fields_rejected(self, kw, frag):
         with pytest.raises(T.TrainingError, match=frag):
