@@ -179,15 +179,19 @@ class NormStats:
 
 
 def compute_norm_stats(gf):
-    """Per-channel stats over every sample, one float64 channel at a time."""
+    """Per-channel stats, one float64 channel at a time: min and max of the float32
+    channel (NaN reaches both, an infinity one), then np.mean's and np.std's sums."""
     vals = gf.values
     c = vals.shape[1]
     lo, hi, mean, std = (np.empty(c) for _ in range(4))
     for k in range(c):
-        flat = vals[:, k].astype(np.float64).ravel()
-        if not np.isfinite(flat).all():
+        lo[k], hi[k] = vals[:, k].min(), vals[:, k].max()
+        if not (np.isfinite(lo[k]) and np.isfinite(hi[k])):
             raise DataError("training data contains non-finite values")
-        lo[k], hi[k], mean[k], std[k] = flat.min(), flat.max(), flat.mean(), flat.std()
+        flat = vals[:, k].astype(np.float64).ravel()
+        mean[k] = flat.sum() / flat.size
+        np.subtract(flat, mean[k], out=flat)
+        std[k] = math.sqrt(np.multiply(flat, flat, out=flat).sum() / flat.size)
     constant = lo == hi
     mean[constant] = lo[constant]
     std[constant] = 1.0

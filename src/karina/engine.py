@@ -596,10 +596,11 @@ def conv2d_valid(x, w, b, groups=1):
         if x.requires_grad:
             wf = (w.data.reshape(groups, cout // groups, cin_g, k, k)[..., ::-1, ::-1]
                   .transpose(0, 2, 1, 3, 4).reshape(cin, cout // groups, k, k))
-            edge = ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1))
+            gp = np.zeros((bsz, cout, hp + k - 1, wp + k - 1), dtype=g.dtype)
+            gp[:, :, k - 1:hp, k - 1:wp] = g
             dx = np.empty_like(xd)
             for n in range(bsz):
-                dx[n] = _im2col_gemm(np.pad(g[n:n + 1], edge), wf, groups)[0][0]
+                dx[n] = _im2col_gemm(gp[n:n + 1], wf, groups)[0][0]
             _accumulate(x, dx)
 
     return _make(out_data, (x, w, b), bwd, "conv2d_valid")

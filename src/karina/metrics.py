@@ -134,11 +134,27 @@ def harmonic_design(dates, n_harmonics):
     return np.stack(cols, axis=1)
 
 
-# lstsq's BLAS kernels round a column by its position modulo their
-# unroll width: blocks that start on a multiple of this many columns fit
-# every column to the same bits as one whole-array call (one-channel
-# blocks do not when lat*lon is not a multiple of 8)
-_FIT_ALIGN = 64
+def _projector(a):
+    """P = R^-1 Q^T = (A^T A)^-1 A^T for a full-rank (time, m) design A.
+    Modified Gram-Schmidt, run twice per column, keeps Q orthonormal to
+    rounding (Cholesky of A^T A squares the condition number); each dot
+    is math.fsum of the rounded products; back substitution runs along
+    time from the last row, subtracting terms in index order."""
+    m = a.shape[1]
+    q = a.T.copy()
+    r = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for k in [*range(i), *range(i)]:
+            d = math.fsum(q[k] * q[i])
+            r[k][i] += d
+            q[i] -= d * q[k]
+        r[i][i] = math.sqrt(math.fsum(q[i] * q[i]))
+        q[i] /= r[i][i]
+    for i in reversed(range(m)):
+        for k in range(i + 1, m):
+            q[i] -= r[i][k] * q[k]
+        q[i] /= r[i][i]
+    return q
 
 
 def fit_climatology(series, dates, n_harmonics=3):
@@ -146,11 +162,10 @@ def fit_climatology(series, dates, n_harmonics=3):
 
     series is (time, channel, lat, lon), float32 or float64; dates are
     day numbers on any epoch.  Requires the dates to span at least two
-    full annual cycles so the harmonics are identifiable.  The fit runs
-    on float64 column blocks of about one channel, each starting on a
-    multiple of 64 grid points; on one BLAS thread it gives the same bits
-    as one lstsq over the whole float64 series (a threaded whole-array
-    call splits columns by thread count).
+    full annual cycles so the harmonics are identifiable.  Only the rank
+    check touches BLAS, so no kernel or thread count moves the bits: coeffs
+    starts at 0.0 and adds P[:, t] * float64(series[t]) for t = 0..T-1 in
+    order, each product and add rounded once, with P from _projector.
     """
     if n_harmonics < 0:
         raise MetricsError(f"n_harmonics must be non-negative, got {n_harmonics}")
@@ -169,15 +184,15 @@ def fit_climatology(series, dates, n_harmonics=3):
             f"need at least two full annual cycles, got {span:.1f} days of coverage"
         )
     a = harmonic_design(dates, n_harmonics)
+    if np.linalg.matrix_rank(a) < a.shape[1]:
+        raise MetricsError("harmonic fit is rank deficient; dates sample the cycle too sparsely")
+    p = _projector(a)
     flat = series.reshape(t, c * h * w)
-    coeffs = np.empty((a.shape[1], c * h * w))
-    block = _FIT_ALIGN * max(1, -(-h * w // _FIT_ALIGN))
-    for j in range(0, c * h * w, block):
-        cols = slice(j, j + block)
-        fit, _, rank, _ = np.linalg.lstsq(a, flat[:, cols].astype(np.float64), rcond=None)
-        coeffs[:, cols] = fit
-        if rank < a.shape[1]:
-            raise MetricsError("harmonic fit is rank deficient; dates sample the cycle too sparsely")
+    coeffs = np.zeros((a.shape[1], c * h * w))
+    for k in range(t):
+        row = flat[k].astype(np.float64)
+        for i, coeff in enumerate(coeffs):
+            coeff += p[i, k] * row
     return ClimatologyTable(
         coeffs=coeffs.reshape(1 + 2 * n_harmonics, c, h, w),
         n_harmonics=n_harmonics,

@@ -18,7 +18,7 @@ from karina import data as D
 from karina import metrics as MT
 from karina.model import ModelConfig, build
 from karina.training import TrainConfig, train
-from test_golden import openblas_core
+from blas_helpers import openblas_core
 
 
 def small_spec(**kw):
@@ -266,9 +266,10 @@ class TestNormalization:
         with pytest.raises(D.DataError, match="channels"):
             D.normalize(gf.values[:, :2], stats)
 
-    def test_non_finite_training_data_rejected(self):
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_training_data_rejected(self, bad):
         vals = np.zeros((2, 1, 4, 8), np.float32)
-        vals[1, 0, 0, 0] = np.inf
+        vals[1, 0, 0, 0] = bad
         gf = D.GridFile(("A",), np.arange(2, dtype=np.uint32), vals)
         with pytest.raises(D.DataError, match="finite"):
             D.compute_norm_stats(gf)

@@ -11,29 +11,14 @@ kernel: other kernels (Haswell, Sandybridge) and other BLAS libraries
 may round a GEMM differently, so a mismatch names the active core.
 """
 
-import ctypes
-import glob
 import hashlib
-import os
 
 import numpy as np
 import pytest
 
+from blas_helpers import openblas_core
 from karina import cli
 from karina import engine as E
-
-
-def openblas_core():
-    """The OpenBLAS kernel numpy's bundled library picked at load, or "unknown"."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
-        try:
-            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
 
 
 def digest(arr):

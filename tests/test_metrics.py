@@ -5,42 +5,15 @@ wrong weight placement or normalization cannot hide inside numpy
 broadcasting.
 """
 
-import ctypes
-import glob
 import math
-import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from blas_helpers import run_per_core
 from karina import metrics as MT
 from karina.padding import GridSpec
 from test_data import traced_peak
-from test_golden import openblas_core
-
-
-@contextmanager
-def one_blas_thread():
-    """Run the body with numpy's bundled OpenBLAS on one thread.  A
-    threaded GEMV splits its columns where the thread count says, so a
-    whole-array lstsq rounds a few columns differently on 1 and on 2
-    threads; the bit contract is stated on one thread."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    paths = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
-    if not paths:
-        yield
-        return
-    lib = ctypes.CDLL(paths[0])
-    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    prev = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(prev)
 
 
 def rmse_oracle(f, t, grid, weighted=True):
@@ -94,6 +67,66 @@ def regression_oracle(z, x):
     for it in np.ndindex(*x.shape[1:]):
         r[it] = sum(dz[k] * (x[(k,) + it] - xbar[it]) for k in range(m)) / denom
     return r
+
+
+def fit_oracle(series, dates, n_harmonics):
+    """The fit's stated arithmetic in scalar loops: modified Gram-Schmidt
+    twice per column with fsum dots, then back substitution along time
+    from the last row; then the in-order sum over time of
+    P[i, t] * float64(series[t]), vectorized only across grid points,
+    where each element is its own scalar sum."""
+    a = MT.harmonic_design(dates, n_harmonics)
+    t, m = a.shape
+    q = [a[:, i].tolist() for i in range(m)]
+    r = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for _ in range(2):
+            for k in range(i):
+                d = math.fsum(q[k][s] * q[i][s] for s in range(t))
+                r[k][i] += d
+                q[i] = [q[i][s] - d * q[k][s] for s in range(t)]
+        r[i][i] = math.sqrt(math.fsum(v * v for v in q[i]))
+        q[i] = [v / r[i][i] for v in q[i]]
+    for i in range(m - 1, -1, -1):
+        for s in range(t):
+            v = q[i][s]
+            for k in range(i + 1, m):
+                v -= r[i][k] * q[k][s]
+            q[i][s] = v / r[i][i]
+    flat = series.reshape(t, -1)
+    coeffs = [np.zeros(flat.shape[1]) for _ in range(m)]
+    for s in range(t):
+        row = flat[s].astype(np.float64)
+        for i in range(m):
+            coeffs[i] = coeffs[i] + q[i][s] * row
+    return np.stack(coeffs).reshape((m,) + series.shape[1:])
+
+
+# one random float32 series fitted in a child per OpenBLAS kernel, on 1
+# and on 2 BLAS threads; prints one sha256 per thread count
+FIT_PER_CORE = """
+import hashlib
+import numpy as np
+from blas_helpers import blas_threads
+from karina import metrics as MT
+series = (np.random.default_rng(47).standard_normal((750, 5, 11, 22)) * 4.0
+          + 280.0).astype(np.float32)
+for n in (1, 2):
+    with blas_threads(n):
+        table = MT.fit_climatology(series, np.arange(750.0) + 17.0)
+    print(hashlib.sha256(table.coeffs.tobytes()).hexdigest())
+"""
+
+# H*W off a multiple of 8 is where lstsq's BLAS kernels rounded a column
+# by its position
+FIT_SHAPES = [(800, 4, 8, 16), (740, 3, 5, 10), (731, 4, 9, 18),
+              (760, 2, 3, 7), (735, 3, 1, 6), (750, 5, 11, 22)]
+
+
+def fit_case(shape, dtype):
+    rng = np.random.default_rng(47)
+    series = (rng.standard_normal(shape) * 4.0 + 280.0).astype(dtype)
+    return series, np.arange(shape[0], dtype=np.float64) + 17.0
 
 
 class TestLatitudeWeights:
@@ -290,21 +323,40 @@ class TestClimatology:
         with pytest.raises(MT.MetricsError, match="n_harmonics"):
             MT.fit_climatology(series, self.dates(800), n_harmonics=-1)
 
-    # H*W off a multiple of 8 is where per-channel lstsq blocks round
-    # differently from one whole-array call
-    @pytest.mark.parametrize("shape", [(800, 4, 8, 16), (740, 3, 5, 10), (731, 4, 9, 18),
-                                       (760, 2, 3, 7), (735, 3, 1, 6), (750, 5, 11, 22)])
+    @pytest.mark.parametrize("shape", FIT_SHAPES)
     @pytest.mark.parametrize("n_harmonics", [0, 3])
-    def test_float32_fit_bits_equal_whole_array_lstsq(self, shape, n_harmonics):
-        t = shape[0]
-        rng = np.random.default_rng(47)
-        series = (rng.standard_normal(shape) * 4.0 + 280.0).astype(np.float32)
-        dates = self.dates(t) + 17.0
-        with one_blas_thread():
-            want = np.linalg.lstsq(MT.harmonic_design(dates, n_harmonics),
-                                   series.astype(np.float64).reshape(t, -1), rcond=None)[0]
-            table = MT.fit_climatology(series, dates, n_harmonics=n_harmonics)
-        assert table.coeffs.tobytes() == want.tobytes(), f"OpenBLAS core {openblas_core()}"
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fit_bits_equal_loop_oracle(self, shape, n_harmonics, dtype):
+        series, dates = fit_case(shape, dtype)
+        table = MT.fit_climatology(series, dates, n_harmonics=n_harmonics)
+        want = fit_oracle(series, dates, n_harmonics)
+        assert table.coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", FIT_SHAPES)
+    @pytest.mark.parametrize("n_harmonics", [0, 3])
+    def test_fit_near_whole_array_lstsq(self, shape, n_harmonics):
+        series, dates = fit_case(shape, np.float32)
+        want = np.linalg.lstsq(MT.harmonic_design(dates, n_harmonics),
+                               series.astype(np.float64).reshape(shape[0], -1), rcond=None)[0]
+        got = MT.fit_climatology(series, dates, n_harmonics=n_harmonics).coeffs
+        gap = np.abs(got.reshape(want.shape) - want).max()
+        assert gap <= 1e-12 * np.abs(want).max(), gap
+
+    def test_fit_keeps_lstsq_accuracy_on_clustered_dates(self):
+        # ten consecutive days and one two years on: cond(A) is 1.1e10, so
+        # normal equations (cond squared) lose every digit of this exact fit
+        dates = np.append(np.arange(10.0), 730.0)
+        table = MT.fit_climatology(np.ones((11, 1, 1, 2)), dates)
+        want = np.zeros_like(table.coeffs)
+        want[0] = 1.0
+        assert np.abs(table.coeffs - want).max() < 1e-5
+
+    def test_fit_bits_equal_on_every_blas_kernel_and_thread_count(self):
+        runs = run_per_core(FIT_PER_CORE)
+        if not runs:
+            pytest.skip("no OpenBLAS kernel of numpy's bundled library could be selected")
+        hashes = {core: out.split() for core, out in runs.items()}
+        assert len({h for both in hashes.values() for h in both}) == 1, hashes
 
     def test_float32_fit_holds_about_one_float64_channel(self):
         t, c, h, w = 740, 4, 16, 32
