@@ -41,6 +41,7 @@ from .metrics import (
     latitude_weights,
     metrics_to_csv,
     row_weights,
+    spatial_mean,
     weighted_moments,
     weighted_rmse,
 )
@@ -290,31 +291,6 @@ def _load_model(cfg, key, bundle):
 # ---------------------------------------------------------------------------
 # forecast scoring shared by evaluate and ablate
 
-def _polar_rmse(forecast, truth, grid, n_rows):
-    """Plain RMS error over the n_rows rows nearest each pole.
-
-    Deliberately unweighted: cos(lat) weights would mute exactly the
-    rows this diagnostic exists to watch.
-    """
-    rows = np.r_[0:n_rows, grid.n_lat - n_rows:grid.n_lat]
-    d = (np.asarray(forecast, dtype=np.float64)
-         - np.asarray(truth, dtype=np.float64))[..., rows, :]
-    ms = (d * d).sum(axis=(-2, -1)) / (rows.size * grid.n_lon)
-    return np.sqrt(ms)
-
-
-@dataclass
-class Scores:
-    leads: tuple
-    channels: tuple
-    rmse: dict            # lead -> (channel,) mean over init dates
-    acc: dict             # empty when no climatology was supplied
-    acc_mask: np.ndarray  # channels whose ACC is defined
-    polar: dict           # empty unless polar_rows > 0
-    n_inits: int
-    polar_rows: int = 0
-
-
 def _acc_usable_channels(test, stats, clim, weighted, leads):
     """Channels with real truth anomaly variance at every scorable
     valid date.  ACC is a spatial correlation: static or spatially
@@ -350,26 +326,33 @@ def _check_test_slice(bundle, leads, polar_rows=0):
 
 def _score_forecasts(bundle, leads, mode, model=None, static_reset=True,
                      weighted=True, clim=None, polar_rows=0):
-    """Mean per-channel scores over every admissible init date in the
-    test slice, which _check_test_slice has passed.  mode is one of
-    checkpoint, truth, persistence."""
+    """(channel, lead, metric, value) rows: the mean per-channel scores over
+    every admissible init date in the test slice, which _check_test_slice
+    has passed.  mode is one of checkpoint, truth, persistence.
+
+    Per channel and lead: rmse; acc for the channels whose ACC is defined,
+    when clim is given; and rmse_polar{polar_rows}, the plain RMS error over
+    the polar_rows rows nearest each pole, when polar_rows > 0.  The polar
+    term is deliberately unweighted: cos(lat) weights would mute exactly the
+    rows it exists to watch.
+    """
     test = bundle.test
     grid = test.grid
     max_lead = max(leads)
     n_inits = test.n_time - max_lead
     z = normalize(test.values, bundle.stats) if mode == "checkpoint" else None
     static = bundle.static_mask if static_reset else None
-    c = len(test.channels)
-    rmse_sum = {L: np.zeros(c) for L in leads}
-    acc_sum = None
-    acc_mask = np.zeros(c, dtype=bool)
-    clim_sub = None
+    metrics = ["rmse"]
     if clim is not None:
         acc_mask = _acc_usable_channels(test, bundle.stats, clim, weighted, leads)
         if acc_mask.any():
-            acc_sum = {L: np.zeros(c) for L in leads}
+            metrics.append("acc")
             clim_sub = replace(clim, coeffs=clim.coeffs[:, acc_mask])
-    polar_sum = {L: np.zeros(c) for L in leads} if polar_rows else None
+    polar_metric = f"rmse_polar{polar_rows}"
+    if polar_rows:
+        metrics.append(polar_metric)
+        polar = np.r_[0:polar_rows, grid.n_lat - polar_rows:grid.n_lat]
+    sums = {(m, L): np.zeros(len(test.channels)) for m in metrics for L in leads}
     for i in range(n_inits):
         if mode == "truth":
             fields = test.values[i + 1:i + max_lead + 1]
@@ -377,7 +360,7 @@ def _score_forecasts(bundle, leads, mode, model=None, static_reset=True,
             fields = np.broadcast_to(test.values[i], (max_lead,) + test.values[i].shape)
         else:
             series = rollout(model, z[i], max_lead, bundle.stats, static,
-                             init_date=float(test.dates[i]))
+                             init_date=float(test.dates[i]), init_field=test.values[i])
             if series.blowup_step is not None:
                 raise RolloutError(
                     f"model blew up at step {series.blowup_step} "
@@ -385,31 +368,19 @@ def _score_forecasts(bundle, leads, mode, model=None, static_reset=True,
                 )
             fields = series.steps
         for L in leads:
-            sample = MetricSample(
-                forecast=fields[L - 1], truth=test.values[i + L], grid=grid,
-                valid_date=float(test.dates[i + L]),
-            )
-            rmse_sum[L] += weighted_rmse(sample, weighted=weighted)
-            if acc_sum is not None:
-                sub = MetricSample(
-                    forecast=np.asarray(fields[L - 1])[acc_mask],
-                    truth=test.values[i + L][acc_mask], grid=grid,
-                    valid_date=float(test.dates[i + L]),
-                )
-                acc_sum[L][acc_mask] += acc(sub, clim_sub, weighted=weighted)
-            if polar_sum is not None:
-                polar_sum[L] += _polar_rmse(fields[L - 1], test.values[i + L],
-                                            grid, polar_rows)
-    return Scores(
-        leads=tuple(leads),
-        channels=test.channels,
-        rmse={L: s / n_inits for L, s in rmse_sum.items()},
-        acc={} if acc_sum is None else {L: s / n_inits for L, s in acc_sum.items()},
-        acc_mask=acc_mask,
-        polar={} if polar_sum is None else {L: s / n_inits for L, s in polar_sum.items()},
-        n_inits=n_inits,
-        polar_rows=polar_rows,
-    )
+            forecast, truth = fields[L - 1], test.values[i + L]
+            sample = MetricSample(forecast=forecast, truth=truth, grid=grid,
+                                  valid_date=float(test.dates[i + L]))
+            sums["rmse", L] += weighted_rmse(sample, weighted=weighted)
+            if "acc" in metrics:
+                sub = replace(sample, forecast=forecast[acc_mask], truth=truth[acc_mask])
+                sums["acc", L][acc_mask] += acc(sub, clim_sub, weighted=weighted)
+            if polar_rows:
+                d = forecast[:, polar].astype(np.float64) - truth[:, polar]
+                sums[polar_metric, L] += np.sqrt(spatial_mean(d * d))
+    return [(name, L, m, sums[m, L][ci] / n_inits)
+            for ci, name in enumerate(test.channels) for L in leads for m in metrics
+            if m != "acc" or acc_mask[ci]]
 
 
 def _validated_leads(cfg, key):
@@ -542,37 +513,27 @@ def cmd_evaluate(cfg, out_dir):
     clim = _fit_climatology(cfg, bundle)
     _check_test_slice(bundle, leads)
     write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
-    scores = _score_forecasts(
+    rows = _score_forecasts(
         bundle, leads, mode, model=model,
         static_reset=cfg["eval.static_reset"], weighted=cfg["eval.weighted"],
         clim=clim,
     )
-    baseline = _score_forecasts(
-        bundle, leads, "persistence",
-        static_reset=False, weighted=cfg["eval.weighted"], clim=None,
-    )
-    rows = []
-    for ci, name in enumerate(scores.channels):
-        for L in leads:
-            rows.append((name, L, "rmse", scores.rmse[L][ci]))
-            if scores.acc and scores.acc_mask[ci]:
-                rows.append((name, L, "acc", scores.acc[L][ci]))
     metrics_to_csv(rows, os.path.join(out_dir, "metrics.csv"))
-    base_rows = [
-        (name, L, "rmse", baseline.rmse[L][ci])
-        for ci, name in enumerate(baseline.channels)
-        for L in leads
-    ]
-    metrics_to_csv(base_rows, os.path.join(out_dir, "baseline.csv"))
-    lines = ["lead_days," + ",".join(scores.channels)]
+    baseline = _score_forecasts(bundle, leads, "persistence", static_reset=False,
+                                weighted=cfg["eval.weighted"])
+    metrics_to_csv(baseline, os.path.join(out_dir, "baseline.csv"))
+    channels = bundle.test.channels
+    rmse = {(name, L): v for name, L, metric, v in rows if metric == "rmse"}
+    lines = ["lead_days," + ",".join(channels)]
     for L in leads:
-        lines.append(f"{L}," + ",".join(repr(float(v)) for v in scores.rmse[L]))
+        lines.append(f"{L}," + ",".join(repr(float(rmse[name, L])) for name in channels))
     write_lines(os.path.join(out_dir, "rmse_by_lead.csv"), lines)
-    acc_note = "with acc" if scores.acc else "acc skipped"
+    acc_note = "with acc" if any(row[2] == "acc" for row in rows) else "acc skipped"
+    lead1 = [rmse[name, leads[0]] for name in channels]
     print(
-        f"scored {mode} over {scores.n_inits} init dates at leads "
+        f"scored {mode} over {bundle.test.n_time - max(leads)} init dates at leads "
         f"{','.join(str(l) for l in leads)} ({acc_note}); "
-        f"lead-1 mean rmse {float(np.mean(scores.rmse[leads[0]])):.6g}"
+        f"lead-1 mean rmse {float(np.mean(lead1)):.6g}"
     )
     return 0
 
@@ -596,7 +557,7 @@ def cmd_rollout(cfg, out_dir):
     z0 = normalize(bundle.gf.values[idx], bundle.stats)
     static = bundle.static_mask if cfg["rollout.static_reset"] else None
     series = rollout(model, z0, horizon, bundle.stats, static,
-                     init_date=float(bundle.gf.dates[idx]))
+                     init_date=float(bundle.gf.dates[idx]), init_field=bundle.gf.values[idx])
     if series.horizon_done == 0:
         raise RolloutError("model blew up on the first step; nothing to write")
     if cfg["rollout.single_file"]:
@@ -634,26 +595,6 @@ ABLATION_VARIANTS = (
 )
 
 
-def _variant_rows(tag, scores):
-    rows = []
-    for ci, name in enumerate(scores.channels):
-        for L in scores.leads:
-            rows.append((tag, name, L, "rmse", scores.rmse[L][ci]))
-            if scores.polar:
-                rows.append((
-                    tag, name, L, f"rmse_polar{scores.polar_rows}",
-                    scores.polar[L][ci],
-                ))
-    return rows
-
-
-def _write_variant_csv(rows, first_column, path):
-    lines = [f"{first_column},channel,lead_days,metric,value"]
-    for tag, channel, lead, metric, value in rows:
-        lines.append(f"{tag},{channel},{int(lead)},{metric},{float(value)!r}")
-    write_lines(path, lines)
-
-
 def cmd_ablate(cfg, out_dir):
     bundle = _load_bundle(cfg)
     _resolve_channels(cfg, bundle)
@@ -681,30 +622,28 @@ def cmd_ablate(cfg, out_dir):
     write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
     pairs = FileSource(bundle.train, bundle.stats).pairs()
 
-    def train_and_score(config):
-        model = build(config, seed=cfg["seed"])
-        train(model, pairs, tcfg, loss_weights=weights)
-        return _score_forecasts(
-            bundle, leads, "checkpoint", model=model,
-            static_reset=True, weighted=True, polar_rows=polar_rows,
-        )
+    def train_and_score(runs):
+        """(tag, channel, lead, metric, value) rows of each run, in order."""
+        rows = []
+        for tag, config in runs:
+            model = build(config, seed=cfg["seed"])
+            train(model, pairs, tcfg, loss_weights=weights)
+            rows += [(tag, *row) for row in _score_forecasts(
+                bundle, leads, "checkpoint", model=model, polar_rows=polar_rows)]
+        return rows
 
-    rows = []
-    day3 = {}
-    for tag, config in variants:
-        scores = train_and_score(config)
-        rows.extend(_variant_rows(tag, scores))
-        probe = 3 if 3 in leads else leads[0]
-        day3[tag] = float(scores.rmse[probe][0])
-    _write_variant_csv(rows, "variant", os.path.join(out_dir, "ablation.csv"))
-
+    rows = train_and_score(variants)
+    metrics_to_csv(rows, os.path.join(out_dir, "ablation.csv"), "variant,channel")
     if sweep:
-        sweep_rows = []
-        for tag, config in sweep:
-            sweep_rows.extend(_variant_rows(tag, train_and_score(config)))
-        _write_variant_csv(sweep_rows, "kernel",
-                           os.path.join(out_dir, "kernel_sweep.csv"))
+        metrics_to_csv(train_and_score(sweep), os.path.join(out_dir, "kernel_sweep.csv"),
+                       "kernel,channel")
 
+    # a variant's first rmse row at the probe lead is its first channel's
+    probe = 3 if 3 in leads else leads[0]
+    day3 = {}
+    for tag, _, lead, metric, value in rows:
+        if lead == probe and metric == "rmse":
+            day3.setdefault(tag, float(value))
     ordering = " ".join(f"{tag}={day3[tag]:.6g}" for tag, _ in variants)
     print(f"ablation over {len(variants)} variants, {tcfg.epochs} epochs each; "
           f"first-channel rmse: {ordering}")

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from karina.files import atomic_open
+from karina.metrics import spatial_mean
 from karina.padding import GridSpec
 
 GRID_MAGIC = b"GFLD"
@@ -331,7 +332,7 @@ class SyntheticField:
         noise_rng = np.random.default_rng([spec.seed, 17])
         g = noise_rng.standard_normal((n_blob, NOISE_MODES, h, w))
         row_w = self.grid.row_weights[:, None]
-        g -= (row_w * g).sum(axis=(-2, -1), keepdims=True) / (h * w)
+        g -= spatial_mean(row_w * g)[..., None, None]
         self._noise_patterns = g
         self._noise_freq = noise_rng.uniform(0.3, 2.5, NOISE_MODES)
         self._noise_phase = noise_rng.uniform(0.0, 2.0 * math.pi, (n_blob, NOISE_MODES))

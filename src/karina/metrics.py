@@ -25,6 +25,11 @@ from karina.padding import GridSpec
 
 
 PERIOD_DAYS = 365.25
+# Largest condition number of the harmonic design accepted by
+# fit_climatology.  Rounding a series to float32 moves it by up to 2^-24
+# relative, and a least-squares fit can amplify that by cond(A); above
+# 2^24 the coefficients may carry no correct digit.
+MAX_DESIGN_COND = 2.0 ** 24
 
 
 class MetricsError(Exception):
@@ -44,13 +49,19 @@ def row_weights(grid, weighted=True):
     return np.ones((1, 1, 1))
 
 
+def spatial_mean(p):
+    """Mean of p over its last two (lat, lon) axes: the one spatial
+    reduction behind every score.  A latitude-weighted mean is
+    spatial_mean(w * ...) with row weights w that average to 1."""
+    return p.sum(axis=(-2, -1)) / (p.shape[-2] * p.shape[-1])
+
+
 def weighted_moments(x, w):
     """Per-channel spatial mean, centered field and variance of a float64
     (channel, lat, lon) field under row weights w that average to 1."""
-    n = x.shape[-2] * x.shape[-1]
-    mean = (w * x).sum(axis=(-2, -1)) / n
+    mean = spatial_mean(w * x)
     centered = x - mean[:, None, None]
-    var = (w * centered * centered).sum(axis=(-2, -1)) / n
+    var = spatial_mean(w * centered * centered)
     return mean, centered, var
 
 
@@ -95,8 +106,7 @@ def weighted_rmse(sample, weighted=True):
     f, t = _fields(sample)
     w = row_weights(sample.grid, weighted)
     d = f - t
-    ms = (w * d * d).sum(axis=(-2, -1)) / (f.shape[-2] * f.shape[-1])
-    return np.sqrt(ms)
+    return np.sqrt(spatial_mean(w * d * d))
 
 
 @dataclass
@@ -162,7 +172,8 @@ def fit_climatology(series, dates, n_harmonics=3):
 
     series is (time, channel, lat, lon), float32 or float64; dates are
     day numbers on any epoch.  Requires the dates to span at least two
-    full annual cycles so the harmonics are identifiable.  Only the rank
+    full annual cycles, and a design no worse conditioned than
+    MAX_DESIGN_COND, so the harmonics are identifiable.  Only the condition
     check touches BLAS, so no kernel or thread count moves the bits: coeffs
     starts at 0.0 and adds P[:, t] * float64(series[t]) for t = 0..T-1 in
     order, each product and add rounded once, with P from _projector.
@@ -184,8 +195,10 @@ def fit_climatology(series, dates, n_harmonics=3):
             f"need at least two full annual cycles, got {span:.1f} days of coverage"
         )
     a = harmonic_design(dates, n_harmonics)
-    if np.linalg.matrix_rank(a) < a.shape[1]:
-        raise MetricsError("harmonic fit is rank deficient; dates sample the cycle too sparsely")
+    cond = np.linalg.cond(a)
+    if cond > MAX_DESIGN_COND:
+        raise MetricsError(f"harmonic fit is numerically rank deficient (cond {cond:.3g}); "
+                           f"dates sample the cycle too sparsely")
     p = _projector(a)
     flat = series.reshape(t, c * h * w)
     coeffs = np.zeros((a.shape[1], c * h * w))
@@ -217,9 +230,7 @@ def acc(sample, clim, weighted=True):
     _, tc, tv = weighted_moments(t - ref, w)
     if np.any(fv <= 0) or np.any(tv <= 0):
         raise MetricsError("zero anomaly variance; correlation undefined")
-    n = f.shape[-2] * f.shape[-1]
-    num = (w * fc * tc).sum(axis=(-2, -1)) / n
-    return num / np.sqrt(fv * tv)
+    return spatial_mean(w * fc * tc) / np.sqrt(fv * tv)
 
 
 def regression_map(z_members, x_members):
@@ -242,9 +253,10 @@ def regression_map(z_members, x_members):
     return np.tensordot(dz, dx, axes=(0, 0)) / denom
 
 
-def metrics_to_csv(rows, path):
-    """rows of (channel, lead_days, metric, value) -> deterministic CSV."""
-    lines = ["channel,lead_days,metric,value"]
-    for channel, lead, name, value in rows:
-        lines.append(f"{channel},{int(lead)},{name},{float(value)!r}")
+def metrics_to_csv(rows, path, keys="channel"):
+    """rows of (*key values, lead_days, metric, value) -> deterministic CSV;
+    keys is the header of the key columns."""
+    lines = [f"{keys},lead_days,metric,value"]
+    for *key_values, lead, name, value in rows:
+        lines.append(f"{','.join(key_values)},{int(lead)},{name},{float(value)!r}")
     write_lines(path, lines)

@@ -73,12 +73,16 @@ class ForecastSeries:
         )
 
 
-def rollout(model, init_state, horizon, stats, static_mask=None, init_date=0.0):
+def rollout(model, init_state, horizon, stats, static_mask=None, init_date=0.0,
+            init_field=None):
     """Step the model `horizon` times from a normalized initial state.
 
     init_state is (channel, lat, lon) in the model dtype; static_mask,
     when given, is a per-channel boolean array of channels to pin to
-    their initial values after every step.
+    their initial values after every step.  init_field, when given, is
+    the init day's stored physical field; stored steps copy their pinned
+    channels from it, since float32 denormalize(normalize(x)) is not x.
+    The normalized state fed back to the model is unchanged by it.
     """
     if horizon < 1:
         raise RolloutError(f"horizon must be at least 1, got {horizon}")
@@ -124,7 +128,10 @@ def rollout(model, init_state, horizon, stats, static_mask=None, init_date=0.0):
                 blowup = k + 1
                 break
             state = nxt
-            steps.append(denormalize(nxt, stats).astype(np.float32))
+            step = denormalize(nxt, stats).astype(np.float32)
+            if static_mask is not None and init_field is not None:
+                step[static_mask] = init_field[static_mask]
+            steps.append(step)
             means.append(mean)
             stds.append(std)
             mins.append(x.min(axis=(-2, -1)))

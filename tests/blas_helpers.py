@@ -49,25 +49,33 @@ def openblas_core():
     return corename().decode()
 
 
+def set_blas_threads(n):
+    """Put numpy's bundled OpenBLAS on n threads, whatever imported numpy
+    first, and return the previous count; None when there is no such
+    library."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    prev = get()
+    set_(n)
+    return prev
+
+
 @contextmanager
 def blas_threads(n):
     """Run the body with numpy's bundled OpenBLAS on n threads.  A
     threaded GEMV splits its columns where the thread count says, so a
     whole-array lstsq rounds a few columns differently on 1 and on 2
     threads."""
-    lib = _openblas()
-    if lib is None:
-        yield
-        return
-    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    prev = get()
-    set_(n)
+    prev = set_blas_threads(n)
     try:
         yield
     finally:
-        set_(prev)
+        if prev is not None:
+            set_blas_threads(prev)
 
 
 def run_per_core(snippet):

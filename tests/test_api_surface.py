@@ -10,10 +10,11 @@ not part of the program.  Dunder names are exempt, since Python calls
 them.
 
 An attribute a class assigns on `self`, or a dataclass field, must be
-read as `.name` in `src/karina`, `perfbench/` or
-`tests/test_acceptance.py`, or occur as a word in perfbench or the
-acceptance tests (which pass some fields by keyword): a field that is
-only ever written is state nothing uses.
+read in `src/karina`, `perfbench/` or `tests/test_acceptance.py`, or
+occur as a word in perfbench or the acceptance tests (which pass some
+fields by keyword): a field that is only ever written is state nothing
+uses.  A read as `self.name` counts only for the class it sits in; a
+read as `.name` on any other receiver counts for every class.
 """
 
 import ast
@@ -98,22 +99,34 @@ def attributes(source):
     return sorted(set(found))
 
 
+def _reads(node, on_self):
+    return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and (isinstance(node.value, ast.Name) and node.value.id == "self") == on_self)
+
+
 def attribute_reads(source):
-    """Names read as .name anywhere in source."""
-    return {node.attr for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    """The attributes source reads: names read as .name on any receiver but
+    self, and (class, name) pairs read as self.name inside that class."""
+    tree = ast.parse(source)
+    names = {node.attr for node in ast.walk(tree) if _reads(node, on_self=False)}
+    pairs = {(cls.name, node.attr) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in ast.walk(cls) if _reads(node, on_self=True)}
+    return names, pairs
 
 
 def write_only(defining, readers, outside):
     """Class.attribute for each attribute of the defining sources that no
-    reader reads as .name and no outside text mentions as a word."""
-    read, seen = set(), Counter()
+    reader reads, as self.name in that class or as .name on another
+    receiver, and no outside text mentions as a word."""
+    read, read_on_self, seen = set(), set(), Counter()
     for text in readers:
-        read |= attribute_reads(text)
+        names, pairs = attribute_reads(text)
+        read |= names
+        read_on_self |= pairs
     for text in outside:
         seen.update(words(text))
     return sorted({f"{cls}.{attr}" for src in defining for cls, attr in attributes(src)
-                   if attr not in read and not seen[attr]})
+                   if attr not in read and (cls, attr) not in read_on_self and not seen[attr]})
 
 
 def test_guard_self_test():
@@ -163,18 +176,26 @@ def test_attribute_guard_self_test():
         "        self.dim = dim\n"
         "        self.norm, self.scale = dim, 2\n"
         "        self.count = 0\n"
+        "        self.level = 0\n"
         "    def step(self):\n"
         "        self.count += 1\n"
         "        return self.norm * Table(1, 0.0).coeffs\n"
+        "class Gauge:\n"
+        "    def __init__(self):\n"
+        "        self.level = 1\n"
+        "    def read(self):\n"
+        "        return self.level\n"
     )
     outside = "Table(coeffs=1, fit_start=0.0)\n# period\nprobe = (Block, 'scale')\n"
-    assert attributes(src) == [("Block", "count"), ("Block", "dim"), ("Block", "norm"),
-                               ("Block", "scale"), ("Table", "coeffs"), ("Table", "fit_start"),
-                               ("Table", "period")]
-    # count is only ever incremented; period is named in a comment only
-    assert write_only([src], [src], [outside]) == ["Block.count", "Block.dim", "Table.period"]
-    assert write_only([src], [src], []) == ["Block.count", "Block.dim", "Block.scale",
-                                             "Table.fit_start", "Table.period"]
+    assert attributes(src) == [("Block", "count"), ("Block", "dim"), ("Block", "level"),
+                               ("Block", "norm"), ("Block", "scale"), ("Gauge", "level"),
+                               ("Table", "coeffs"), ("Table", "fit_start"), ("Table", "period")]
+    # count is only ever incremented; period is named in a comment only;
+    # Block.level is never read, though Gauge reads its own level
+    assert write_only([src], [src], [outside]) == ["Block.count", "Block.dim", "Block.level",
+                                                    "Table.period"]
+    assert write_only([src], [src], []) == ["Block.count", "Block.dim", "Block.level",
+                                             "Block.scale", "Table.fit_start", "Table.period"]
 
 
 def test_every_src_attribute_is_read():

@@ -472,7 +472,8 @@ class TestRolloutCommand:
         model = load_checkpoint(str(ckpt))
         z0 = data.normalize(bundle.gf.values[24], bundle.stats)
         series = rollout.rollout(model, z0, 3, bundle.stats, bundle.static_mask,
-                                 init_date=float(bundle.gf.dates[24]))
+                                 init_date=float(bundle.gf.dates[24]),
+                                 init_field=bundle.gf.values[24])
         got = data.read_grid(str(out / "forecast_002.grid"))
         assert np.array_equal(got.values[0], series.steps[1])
 
@@ -788,15 +789,17 @@ class TestBooleanKeys:
         outs = self.run_both_ways(tmp_path, "evaluate", "eval.static_reset")
         on, off = (metric_rows(outs[f] / "metrics.csv") for f in ("true", "false"))
         for lead in (1, 2, 3):
-            assert on[("OROG", lead)] < 1e-6 < off[("OROG", lead)]
+            assert on[("OROG", lead)] == 0.0
+            assert off[("OROG", lead)] > 1e-6
 
     def test_rollout_static_reset_pins_orography(self, tmp_path):
         outs = self.run_both_ways(tmp_path, "rollout", "rollout.static_reset")
         bundle = bundle_of(outs["true"])
-        # the pinned state is the init day's normalized field, written
-        # back through denormalize, which float32 does not round-trip
+        # the init day's stored bits, which float32 normalize/denormalize
+        # does not round-trip
+        pinned = bundle.gf.values[-1][3].tobytes()
         init = data.normalize(bundle.gf.values[-1], bundle.stats)
-        pinned = data.denormalize(init, bundle.stats)[3].tobytes()
+        assert data.denormalize(init, bundle.stats)[3].tobytes() != pinned
         for flag, same in (("true", True), ("false", False)):
             for k in (1, 2, 3):
                 got = data.read_grid(str(outs[flag] / f"forecast_{k:03d}.grid"))

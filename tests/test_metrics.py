@@ -342,11 +342,20 @@ class TestClimatology:
         gap = np.abs(got.reshape(want.shape) - want).max()
         assert gap <= 1e-12 * np.abs(want).max(), gap
 
-    def test_fit_keeps_lstsq_accuracy_on_clustered_dates(self):
-        # ten consecutive days and one two years on: cond(A) is 1.1e10, so
-        # normal equations (cond squared) lose every digit of this exact fit
+    def test_ill_conditioned_dates_rejected(self):
+        # ten consecutive days and one two years on: full rank, but cond(A)
+        # is 1.1e10, so the fitted coefficients carry no correct digit
         dates = np.append(np.arange(10.0), 730.0)
-        table = MT.fit_climatology(np.ones((11, 1, 1, 2)), dates)
+        with pytest.raises(MT.MetricsError, match="rank"):
+            MT.fit_climatology(np.ones((11, 1, 1, 2)), dates)
+
+    def test_fit_keeps_lstsq_accuracy_on_clustered_dates(self):
+        # thirty consecutive days and one two years on: cond(A) is 1.2e7,
+        # just under MAX_DESIGN_COND, and normal equations (cond squared)
+        # miss this exact fit by 2e-3
+        dates = np.append(np.arange(30.0), 730.0)
+        assert np.linalg.cond(MT.harmonic_design(dates, 3)) < MT.MAX_DESIGN_COND
+        table = MT.fit_climatology(np.ones((31, 1, 1, 2)), dates)
         want = np.zeros_like(table.coeffs)
         want[0] = 1.0
         assert np.abs(table.coeffs - want).max() < 1e-5
