@@ -68,19 +68,16 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # config schema
 
-# dataclass fields that are not section keys: seed is the top-level key
-# and n_days is the sum of the data splits
-_NOT_KEYS = ("seed", "n_days")
+# dataclass fields that are not section keys: seed is the top-level key,
+# n_days is the sum of the data splits, and a one-step forecast maps the
+# data's channels onto themselves
+_NOT_KEYS = ("seed", "n_days", "in_channels", "out_channels")
 
 # the dataclass behind each section; every other field is a section key
 SECTIONS = {"synth": SyntheticSpec, "model": ModelConfig, "train": TrainConfig}
 
-# CLI defaults that differ from the dataclass defaults.  model.in_channels
-# and out_channels of 0 mean "match the data"; the inferred value is
-# written to the resolved config.
+# CLI defaults that differ from the dataclass defaults
 _CLI_DEFAULTS = {
-    "model.in_channels": 0,
-    "model.out_channels": 0,
     "model.stage_dims": (8, 16),
     "model.depths": (1, 1),
     "synth.tilt_deg": 90.0,
@@ -227,36 +224,19 @@ def _load_bundle(cfg):
     )
 
 
-def _resolve_channels(cfg, bundle):
-    """Fill zero channel counts from the data; reject mismatches."""
-    c = len(bundle.gf.channels)
-    if cfg["model.in_channels"] == 0:
-        cfg["model.in_channels"] = c
-    if cfg["model.out_channels"] == 0:
-        cfg["model.out_channels"] = cfg["model.in_channels"]
-    if cfg["model.in_channels"] != c:
-        raise CliError(
-            f"model.in_channels is {cfg['model.in_channels']}, data has {c} channels"
-        )
-    if cfg["model.out_channels"] != c:
-        raise CliError(
-            f"model.out_channels is {cfg['model.out_channels']}, "
-            f"one-step forecasting needs {c}"
-        )
-
-
-def _validated(config):
-    """config.validate(), with its error turned into a CliError."""
+def _validated(make, *args, **kwargs):
+    """make(*args, **kwargs), with a config's construction error turned
+    into a CliError."""
     try:
-        return config.validate()
+        return make(*args, **kwargs)
     except (DataError, ModelError, TrainingError) as err:
         raise CliError(str(err)) from err
 
 
 def _section_config(cfg, section, **extra):
-    """The section's dataclass from its keys plus the extra fields, validated."""
+    """The section's dataclass from its keys plus the extra fields."""
     values = {f.name: cfg[f"{section}.{f.name}"] for f in _section_fields(section)}
-    return _validated(SECTIONS[section](**values, **extra))
+    return _validated(SECTIONS[section], **values, **extra)
 
 
 def _loss_weights(tcfg, bundle):
@@ -397,10 +377,10 @@ def _validated_leads(cfg, key):
 
 def cmd_train(cfg, out_dir):
     bundle = _load_bundle(cfg)
-    _resolve_channels(cfg, bundle)
     tcfg = _section_config(cfg, "train", seed=cfg["seed"])
     weights = _loss_weights(tcfg, bundle)
-    mcfg = _section_config(cfg, "model")
+    c = len(bundle.gf.channels)
+    mcfg = _section_config(cfg, "model", in_channels=c, out_channels=c)
     write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
     model = build(mcfg, seed=cfg["seed"])
     pairs = FileSource(bundle.train, bundle.stats).pairs()
@@ -434,7 +414,7 @@ def _parse_phases(raw):
                 lags = tuple(range(24))
             else:
                 lags = tuple(int(t) for t in lags_s.split(","))
-            phases.append(FinetunePhase(lag_set=lags, lr=float(lr_s)).validate())
+            phases.append(FinetunePhase(lag_set=lags, lr=float(lr_s)))
         except (ValueError, TrainingError) as err:
             raise CliError(f"bad finetune.phases segment {part!r}: {err}") from None
     if not phases:
@@ -444,7 +424,6 @@ def _parse_phases(raw):
 
 def cmd_finetune(cfg, out_dir):
     bundle = _load_bundle(cfg)
-    _resolve_channels(cfg, bundle)
     model = _load_model(cfg, "finetune.checkpoint", bundle)
     phases = _parse_phases(cfg["finetune.phases"])
     tcfg = _section_config(cfg, "train", seed=cfg["seed"])
@@ -502,7 +481,6 @@ def _fit_climatology(cfg, bundle):
 
 def cmd_evaluate(cfg, out_dir):
     bundle = _load_bundle(cfg)
-    _resolve_channels(cfg, bundle)
     mode = cfg["eval.model"]
     if mode not in ("checkpoint", "truth", "persistence"):
         raise CliError(
@@ -540,7 +518,6 @@ def cmd_evaluate(cfg, out_dir):
 
 def cmd_rollout(cfg, out_dir):
     bundle = _load_bundle(cfg)
-    _resolve_channels(cfg, bundle)
     model = _load_model(cfg, "rollout.checkpoint", bundle)
     horizon = cfg["rollout.horizon"]
     if horizon < 1:
@@ -560,19 +537,14 @@ def cmd_rollout(cfg, out_dir):
                      init_date=float(bundle.gf.dates[idx]), init_field=bundle.gf.values[idx])
     if series.horizon_done == 0:
         raise RolloutError("model blew up on the first step; nothing to write")
+    forecast = series.to_grid_file()
     if cfg["rollout.single_file"]:
-        write_grid(series.to_grid_file(), os.path.join(out_dir, "forecast.grid"))
-        n_files = 1
+        files = [(forecast, "forecast.grid")]
     else:
-        base_date = int(round(series.init_date))
-        for k in range(series.horizon_done):
-            step = GridFile(
-                channels=series.channels,
-                dates=np.asarray([base_date + k + 1], dtype=np.uint32),
-                values=series.steps[k:k + 1],
-            )
-            write_grid(step, os.path.join(out_dir, f"forecast_{k + 1:03d}.grid"))
-        n_files = series.horizon_done
+        files = [(_slice_grid(forecast, k, k + 1), f"forecast_{k + 1:03d}.grid")
+                 for k in range(forecast.n_time)]
+    for gf, name in files:
+        write_grid(gf, os.path.join(out_dir, name))
     drift_report(series, os.path.join(out_dir, "drift.csv"))
     if series.blowup_step is not None:
         write_lines(os.path.join(out_dir, "BLOWUP"),
@@ -583,7 +555,7 @@ def cmd_rollout(cfg, out_dir):
         )
     print(
         f"rolled out {series.horizon_done} steps from day {bundle.gf.dates[idx]} "
-        f"into {n_files} file(s); model {series.checkpoint_id}"
+        f"into {len(files)} file(s); model {series.checkpoint_id}"
     )
     return 0
 
@@ -597,7 +569,6 @@ ABLATION_VARIANTS = (
 
 def cmd_ablate(cfg, out_dir):
     bundle = _load_bundle(cfg)
-    _resolve_channels(cfg, bundle)
     leads = _validated_leads(cfg, "ablate.leads")
     polar_rows = cfg["ablate.polar_rows"]
     if polar_rows < 1:
@@ -605,18 +576,19 @@ def cmd_ablate(cfg, out_dir):
     _check_test_slice(bundle, leads, polar_rows)
     tcfg = _section_config(cfg, "train", seed=cfg["seed"])
     weights = _loss_weights(tcfg, bundle)
-    base = _section_config(cfg, "model")
+    c = len(bundle.gf.channels)
+    base = _section_config(cfg, "model", in_channels=c, out_channels=c)
     runs = list(ABLATION_VARIANTS)
     if cfg["ablate.include_circular"]:
         runs.append(("circular_senet", "circular_zero_pole", True))
     variants = [
-        (tag, _validated(replace(base, padding_mode=mode, se_enabled=se)))
+        (tag, _validated(replace, base, padding_mode=mode, se_enabled=se))
         for tag, mode, se in runs
     ]
     kernels = (3, 5, 7) if cfg["ablate.kernel_sweep"] else ()
     sweep = [
-        (str(k), _validated(replace(base, stem_kernel=k, padding_mode="geocyclic",
-                                    se_enabled=True)))
+        (str(k), _validated(replace, base, stem_kernel=k, padding_mode="geocyclic",
+                            se_enabled=True))
         for k in kernels
     ]
     write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())

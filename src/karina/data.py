@@ -252,7 +252,7 @@ class SyntheticSpec:
     n_lon: int = 48
     start_day: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_days < 1:
             raise DataError(f"n_days must be at least 1, got {self.n_days}")
         if self.n_blob_channels < 1:
@@ -269,7 +269,6 @@ class SyntheticSpec:
             raise DataError(f"noise amplitude must be nonnegative, got {self.noise}")
         if self.start_day < 0:
             raise DataError(f"start_day must be nonnegative, got {self.start_day}")
-        return self
 
     @property
     def channels(self):
@@ -291,7 +290,7 @@ class SyntheticField:
     """Analytic field set: evaluates any real day offset exactly once."""
 
     def __init__(self, spec):
-        self.spec = spec.validate()
+        self.spec = spec
         self.grid = GridSpec.from_shape(spec.n_lat, spec.n_lon)
         h, w = spec.n_lat, spec.n_lon
         lat, lon = self.grid.lat_centers, self.grid.lon_centers
@@ -415,7 +414,7 @@ class PairSet:
             raise DataError(f"pair arrays disagree: {self.x.shape} vs {self.y.shape}")
 
 
-def validated_lags(lags, error):
+def checked_lags(lags, error):
     """lags as a tuple of ints; an empty, repeated or out-of-range
     hour offset raises error."""
     lags = tuple(int(l) for l in lags)
@@ -496,4 +495,4 @@ class SyntheticSource:
 def lag_augment(source, lags):
     """Augmented pair set over the given hour offsets, validated once
     here; the source decides which lags it can realize."""
-    return source.lag_pairs(validated_lags(lags, DataError))
+    return source.lag_pairs(checked_lags(lags, DataError))

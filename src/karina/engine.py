@@ -14,7 +14,8 @@ them:
   the large-batch gradient bit for bit.
 * Spatial reductions use either exactly-rounded summation (fsum, 64-bit
   mode) or a fixed-tree numpy sum in float64 (32-bit mode), so global
-  pooling commutes with longitude rolls.
+  pooling commutes with longitude rolls: exactly in float64, and in
+  float32 only in practice, since a roll can reorder the pairwise tree.
 """
 
 from __future__ import annotations
@@ -543,9 +544,10 @@ def conv2d_valid(x, w, b, groups=1):
 
     x (B, Cin, Hp, Wp); w (Cout, Cin/groups, K, K); b (Cout,).
     Lowered to im2col plus matmul (_im2col_gemm) so the contraction over
-    the patch axis is a GEMM, which is bit-stable under column
-    permutations of the spatial axis; that is what makes pad+conv
-    exactly roll-equivariant.
+    the patch axis is a GEMM.  Under one OpenBLAS kernel and thread count
+    its bits do not move under column permutations of the spatial axis on
+    the grids the tests use, which makes pad+conv exactly roll-equivariant;
+    other kernels, such as Haswell, round some columns by their position.
 
     dx is the same contraction run on g zero-padded by K-1, against each
     group's kernel flipped in both spatial axes with its in and out

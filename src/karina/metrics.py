@@ -186,6 +186,8 @@ def fit_climatology(series, dates, n_harmonics=3):
     dates = np.asarray(dates, dtype=np.float64)
     if dates.shape != (series.shape[0],):
         raise MetricsError(f"{dates.shape[0] if dates.ndim else 0} dates for {series.shape[0]} fields")
+    if not np.isfinite(dates).all():
+        raise MetricsError("dates contain non-finite values")
     t, c, h, w = series.shape
     if not all(np.isfinite(series[:, k]).all() for k in range(c)):
         raise MetricsError("series contains non-finite values")

@@ -49,7 +49,7 @@ class ModelConfig:
     layer_scale_init: float = 1e-6
     drop_path_rate: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.in_channels < 1:
             raise ModelError(f"in_channels must be positive, got {self.in_channels}")
         if self.out_channels < 1:
@@ -82,7 +82,6 @@ class ModelConfig:
             raise ModelError(f"layer_scale_init must be non-negative, got {self.layer_scale_init}")
         if not 0.0 <= self.drop_path_rate < 1.0:
             raise ModelError(f"drop_path_rate must sit in [0, 1), got {self.drop_path_rate}")
-        return self
 
     def to_text(self):
         """Canonical key=value lines, sorted by key; round-trips exactly."""
@@ -91,7 +90,7 @@ class ModelConfig:
     @classmethod
     def from_text(cls, text):
         got = parse_text(text, field_types(cls), "checkpoint config", ModelError)
-        return cls(**got).validate()
+        return cls(**got)
 
 
 class Stem(Module):
@@ -113,7 +112,6 @@ class KarinaModel(Module):
     """Same-resolution forecast network over (batch, channel, lat, lon) arrays."""
 
     def __init__(self, config, seed=0, dtype=np.float32):
-        config.validate()
         self.config = config
         self.dtype = np.dtype(dtype).type
         self.mode = "train"

@@ -42,7 +42,8 @@ class PaddingMode(enum.Enum):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Pole-free offset grid: cell centers straddle the equator, none sit on a pole."""
+    """Pole-free offset grid from from_shape, whose formulas keep its
+    invariants: cell centers straddle the equator, none sit on a pole."""
 
     n_lat: int
     n_lon: int
@@ -63,20 +64,6 @@ class GridSpec:
         weights = cw / cw.mean()
         weights.setflags(write=False)
         return cls(int(n_lat), int(n_lon), lat, lon, weights)
-
-    def __post_init__(self):
-        if self.lat_centers.shape != (self.n_lat,):
-            raise PaddingError("lat_centers length disagrees with n_lat")
-        if self.lon_centers.shape != (self.n_lon,):
-            raise PaddingError("lon_centers length disagrees with n_lon")
-        if not np.all(np.diff(self.lat_centers) < 0):
-            raise PaddingError("lat_centers must decrease strictly from north to south")
-        if np.any(np.abs(self.lat_centers) >= 90.0):
-            raise PaddingError("lat_centers must lie strictly inside (-90, 90)")
-        if np.any(self.row_weights <= 0):
-            raise PaddingError("row weights must be positive")
-        if abs(self.row_weights.mean() - 1.0) > 1e-12:
-            raise PaddingError("row weights must average to one")
 
 
 def _build_table(h, w, p, mode):

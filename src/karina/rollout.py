@@ -118,9 +118,6 @@ def rollout(model, init_state, horizon, stats, static_mask=None, init_date=0.0,
             nxt = out.data[0].copy()
             if static_mask is not None:
                 nxt[static_mask] = init_state[static_mask]
-            if not np.isfinite(nxt).all():
-                blowup = k + 1
-                break
             x = nxt.astype(np.float64)
             mean, _, var = weighted_moments(x, w)
             std = np.sqrt(var)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from karina import engine
-from karina.data import validated_lags
+from karina.data import checked_lags
 from karina.files import write_lines
 
 
@@ -36,7 +36,7 @@ class TrainConfig:
     lat_weighted_loss: bool = False
     exclude_static_loss: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         # lr == 0 is admitted as a degenerate rate: a zero-lr run must
         # leave parameters bit-identical, which is itself a useful check
         if self.lr < 0:
@@ -47,7 +47,6 @@ class TrainConfig:
             raise TrainingError(f"lr_min must sit in [0, lr], got {self.lr_min}")
         if self.batch_size < 1:
             raise TrainingError(f"batch_size must be positive, got {self.batch_size}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,10 @@ class FinetunePhase:
     lag_set: tuple
     lr: float
 
-    def validate(self):
-        validated_lags(self.lag_set, TrainingError)
+    def __post_init__(self):
+        checked_lags(self.lag_set, TrainingError)
         if not self.lr > 0:
             raise TrainingError(f"phase lr must be positive, got {self.lr}")
-        return self
 
 
 @dataclass
@@ -210,7 +208,6 @@ def train(model, pairs, cfg, val_pairs=None, loss_weights=None):
     (N, C, H, W) in the model dtype.  Returns the per-epoch loss curve;
     the model is updated in place.
     """
-    cfg.validate()
     n = int(pairs.x.shape[0])
     if n == 0:
         raise TrainingError("empty training set")
@@ -262,7 +259,6 @@ def finetune(model, source, cfg, phases, val_pairs=None, loss_weights=None):
     over from phase to phase; epoch numbering in the combined report
     continues across phases.
     """
-    phases = [p.validate() for p in phases]
     combined = TrainReport()
     epoch_base = 0
     step_base = 0

@@ -324,7 +324,7 @@ class TestSyntheticSpec:
     ])
     def test_invalid_fields_rejected(self, kw, frag):
         with pytest.raises(D.DataError, match=frag):
-            small_spec(**kw).validate()
+            small_spec(**kw)
 
     def test_channel_names(self):
         assert small_spec(n_blob_channels=3).channels == ("TR01", "TR02", "TR03", "SEAS", "OROG")

@@ -349,6 +349,13 @@ class TestClimatology:
         with pytest.raises(MT.MetricsError, match="rank"):
             MT.fit_climatology(np.ones((11, 1, 1, 2)), dates)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_date_rejected(self, bad):
+        dates = np.arange(800.0)
+        dates[400] = bad
+        with pytest.raises(MT.MetricsError, match="non-finite"):
+            MT.fit_climatology(np.ones((800, 1, 1, 2)), dates)
+
     def test_fit_keeps_lstsq_accuracy_on_clustered_dates(self):
         # thirty consecutive days and one two years on: cond(A) is 1.2e7,
         # just under MAX_DESIGN_COND, and normal equations (cond squared)

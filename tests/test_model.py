@@ -66,7 +66,7 @@ def flip_first_extent_bit(path, bit):
 
 class TestModelConfig:
     def test_defaults_validate(self):
-        ModelConfig().validate()
+        ModelConfig()
 
     @pytest.mark.parametrize("kw,fragment", [
         (dict(in_channels=0), "in_channels"),
@@ -82,7 +82,7 @@ class TestModelConfig:
     ])
     def test_each_invalid_field_named(self, kw, fragment):
         with pytest.raises(Exception, match=fragment):
-            toy_config(**kw).validate()
+            toy_config(**kw)
 
     def test_text_round_trip_exact(self):
         cfg = toy_config(layer_scale_init=1e-6, drop_path_rate=0.1)

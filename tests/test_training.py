@@ -226,7 +226,7 @@ class TestCosineSchedule:
 
 class TestTrainConfig:
     def test_defaults_valid(self):
-        T.TrainConfig().validate()
+        T.TrainConfig()
 
     @pytest.mark.parametrize("kw,frag", [
         (dict(lr=-1e-3), "nonnegative"),
@@ -236,7 +236,7 @@ class TestTrainConfig:
     ])
     def test_invalid_fields_rejected(self, kw, frag):
         with pytest.raises(T.TrainingError, match=frag):
-            T.TrainConfig(**kw).validate()
+            T.TrainConfig(**kw)
 
 
 class TestTrainLoop:
@@ -410,13 +410,13 @@ class TestFinetune:
 
     def test_phase_validation(self):
         with pytest.raises(T.TrainingError, match="at least one"):
-            T.FinetunePhase((), 1e-3).validate()
+            T.FinetunePhase((), 1e-3)
         with pytest.raises(T.TrainingError, match="unique"):
-            T.FinetunePhase((0, 0), 1e-3).validate()
+            T.FinetunePhase((0, 0), 1e-3)
         with pytest.raises(T.TrainingError, match=r"\[0, 23\]"):
-            T.FinetunePhase((0, 24), 1e-3).validate()
+            T.FinetunePhase((0, 24), 1e-3)
         with pytest.raises(T.TrainingError, match="positive"):
-            T.FinetunePhase((0,), 0.0).validate()
+            T.FinetunePhase((0,), 0.0)
 
     def test_lag_pair_counts(self):
         src = FakeLagSource(n_days=5)
