@@ -22,13 +22,11 @@ Two exactness properties are load-bearing and intentional:
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from karina.files import atomic_open
+from karina.files import RecordReader, atomic_open, write_str, write_u32
 from karina.metrics import spatial_mean
 from karina.padding import GridSpec
 
@@ -90,15 +88,12 @@ def grid_file_size(gf):
 
 
 def write_grid(gf, path):
-    t, c, h, w = gf.values.shape
     with atomic_open(path, "wb") as fh:
         fh.write(GRID_MAGIC)
-        fh.write(struct.pack("<IIIII", GRID_VERSION, t, c, h, w))
+        write_u32(fh, GRID_VERSION, *gf.values.shape)
         fh.write(gf.dates.astype("<u4").tobytes())
         for name in gf.channels:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+            write_str(fh, name)
         fh.write(gf.values.astype("<f4").tobytes())
 
 
@@ -112,50 +107,20 @@ def read_grid(path):
     """
     try:
         with open(path, "rb") as fh:
-            return _read_grid(fh, os.fstat(fh.fileno()).st_size)
+            rec = RecordReader(fh, DataError)
+            magic = rec.bytes(4, "magic")
+            if magic != GRID_MAGIC:
+                raise DataError(f"bad magic {magic!r}")
+            version, t, c, h, w = rec.u32(5, "header")
+            if version != GRID_VERSION:
+                raise DataError(f"unsupported version {version}")
+            dates = rec.u32(t, "dates")
+            names = tuple(rec.text(f"channel name {i}") for i in range(c))
+            values = rec.f32((t, c, h, w), "values")
+            rec.end()
     except OSError as err:
         raise DataError(f"cannot read grid file {path}: {err}") from None
-
-
-def _read_grid(fh, size):
-    def take(fmt, offset):
-        n = struct.calcsize(fmt)
-        if offset + n > size:
-            raise DataError(
-                f"truncated file: expected at least {offset + n} bytes, got {size}"
-            )
-        return struct.unpack(fmt, fh.read(n)), offset + n
-
-    magic = fh.read(4)
-    if magic != GRID_MAGIC:
-        raise DataError(f"bad magic {magic!r}")
-    (version, t, c, h, w), off = take("<IIIII", 4)
-    if version != GRID_VERSION:
-        raise DataError(f"unsupported version {version}")
-    (dates), off = take(f"<{t}I", off)
-    names = []
-    for _ in range(c):
-        (n,), off = take("<I", off)
-        if off + n > size:
-            raise DataError(
-                f"truncated file: expected at least {off + n} bytes, got {size}"
-            )
-        try:
-            names.append(fh.read(n).decode("utf-8"))
-        except UnicodeDecodeError as err:
-            raise DataError(f"channel name {len(names)} is not UTF-8: {err}") from None
-        off += n
-    want = off + 4 * t * c * h * w
-    if size < want:
-        raise DataError(f"truncated file: expected {want} bytes, got {size}")
-    if size > want:
-        raise DataError(f"trailing bytes: expected {want} bytes, got {size}")
-    values = np.empty((t, c, h, w), dtype="<f4")
-    got = fh.readinto(memoryview(values).cast("B"))
-    if got != values.nbytes:
-        raise DataError(f"truncated file: expected {want} bytes, got {off + got}")
-    return GridFile(channels=tuple(names), dates=np.asarray(dates, dtype=np.uint32),
-                    values=values)
+    return GridFile(channels=names, dates=dates, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,12 @@ only the `.tmp` behind.  There is no fsync: the failure this closes is
 a dead process, not a lost machine.
 """
 
+import math
 import os
+import struct
 from contextlib import contextmanager, suppress
+
+import numpy as np
 
 
 @contextmanager
@@ -32,3 +36,66 @@ def write_lines(path, lines):
     """Write each line followed by a newline, atomically."""
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_u32(fh, *values):
+    """Write each value as a little-endian u32."""
+    fh.write(struct.pack(f"<{len(values)}I", *values))
+
+
+def write_str(fh, text):
+    """Write text as its UTF-8 byte count (u32) and then those bytes."""
+    raw = text.encode("utf-8")
+    write_u32(fh, len(raw))
+    fh.write(raw)
+
+
+class RecordReader:
+    """Reads the record layout `.grid` and `.krna` share: little-endian u32
+    counts, strings as a u32 byte count plus UTF-8, and raw little-endian
+    float32 payloads.  Damage raises the caller's error class naming the
+    record `what`; each read checks its size against the rest of the file
+    before it allocates anything.
+    """
+
+    def __init__(self, fh, error):
+        self._fh = fh
+        self._error = error
+        self._size = os.fstat(fh.fileno()).st_size
+        self._off = fh.tell()
+
+    def _claim(self, n, what):
+        left = self._size - self._off
+        if n > left:
+            raise self._error(f"truncated file: expected {self._off + n} bytes, got "
+                              f"{self._size} ({what}: needs {n} bytes, {left} left)")
+        self._off += n
+
+    def bytes(self, n, what):
+        self._claim(n, what)
+        return self._fh.read(n)
+
+    def u32(self, count, what):
+        return struct.unpack(f"<{count}I", self.bytes(4 * count, what))
+
+    def text(self, what):
+        (n,) = self.u32(1, f"{what} length")
+        try:
+            return self.bytes(n, what).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise self._error(f"{what} is not UTF-8: {err}") from None
+
+    def f32(self, shape, what):
+        """A new float32 array of shape, read straight into its memory."""
+        n = 4 * math.prod(shape)
+        self._claim(n, what)
+        values = np.empty(shape, dtype="<f4")
+        # memoryview cannot cast a view with a zero extent
+        if n and self._fh.readinto(memoryview(values).cast("B")) != n:
+            raise self._error(f"truncated file: the file shrank while {what} was read")
+        return values
+
+    def end(self):
+        """Refuse bytes after the last record."""
+        if self._off != self._size:
+            raise self._error(f"trailing bytes: expected {self._off} bytes, got {self._size}")

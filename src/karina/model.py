@@ -14,9 +14,6 @@ parameters by name, so a checkpoint is self-describing.
 
 from __future__ import annotations
 
-import math
-import os
-import struct
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -24,7 +21,7 @@ import numpy as np
 
 from karina import engine
 from karina.config import field_types, format_text, parse_text
-from karina.files import atomic_open
+from karina.files import RecordReader, atomic_open, write_str, write_u32
 from karina.layers import Conv2d, ConvNextBlock, DepthScale, LayerNormChannels, Module
 from karina.padding import PaddingError, PaddingMode
 
@@ -188,72 +185,42 @@ def build(config, seed=0, dtype=np.float32):
     return KarinaModel(config, seed=seed, dtype=dtype)
 
 
-def _read_exact(fh, n, what):
-    """n bytes from fh; a count beyond the end of the file, such as a
-    corrupt extent, is rejected before anything is read."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise ModelError(
-            f"checkpoint truncated while reading {what}: needs {n} bytes, {left} left"
-        )
-    return fh.read(n)
-
-
-def _read_text(fh, n, what):
-    try:
-        return _read_exact(fh, n, what).decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise ModelError(f"checkpoint {what} is not UTF-8: {err}") from None
-
-
 def save_checkpoint(model, path):
     """Write config text plus every parameter as raw little-endian float32."""
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        cfg = model.config.to_text().encode("utf-8")
-        fh.write(struct.pack("<I", len(cfg)))
-        fh.write(cfg)
+        write_u32(fh, CHECKPOINT_VERSION)
+        write_str(fh, model.config.to_text())
         named = list(model.named_parameters())
-        fh.write(struct.pack("<I", len(named)))
+        write_u32(fh, len(named))
         for name, p in named:
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", p.data.ndim))
-            for ext in p.data.shape:
-                fh.write(struct.pack("<I", ext))
+            write_str(fh, name)
+            write_u32(fh, p.data.ndim, *p.data.shape)
             fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
 def _read_checkpoint(fh):
-    """(config, name -> (shape, float32 values)) from an open checkpoint."""
-    magic = _read_exact(fh, 4, "magic")
+    """(config, name -> float32 values) from an open checkpoint."""
+    rec = RecordReader(fh, ModelError)
+    magic = rec.bytes(4, "magic")
     if magic != CHECKPOINT_MAGIC:
         raise ModelError(f"not a model checkpoint (magic {magic!r})")
-    (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+    (version,) = rec.u32(1, "version")
     if version != CHECKPOINT_VERSION:
         raise ModelError(
             f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )
-    (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-    config = ModelConfig.from_text(_read_text(fh, cfg_len, "config"))
-    (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
+    config = ModelConfig.from_text(rec.text("checkpoint config"))
+    (n_params,) = rec.u32(1, "parameter count")
     stored = {}
-    order = []
     for _ in range(n_params):
-        (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-        name = _read_text(fh, name_len, "name")
-        (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
-        shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{name} extents"))
-        raw = _read_exact(fh, 4 * math.prod(shape), f"{name} data")
-        stored[name] = (shape, np.frombuffer(raw, dtype="<f4"))
-        order.append(name)
-    if len(order) != len(stored):
-        raise ModelError("checkpoint repeats a parameter name")
-    trailing = fh.read(1)
-    if trailing:
-        raise ModelError("checkpoint has trailing bytes after the last parameter")
+        name = rec.text("parameter name")
+        if name in stored:
+            raise ModelError(f"checkpoint repeats parameter name {name!r}")
+        (rank,) = rec.u32(1, f"{name} rank")
+        shape = rec.u32(rank, f"{name} extents")
+        stored[name] = rec.f32(shape, f"{name} data")
+    rec.end()
     return config, stored
 
 
@@ -275,13 +242,13 @@ def load_checkpoint(path):
             f"unexpected {extra[:3]}"
         )
     for name, p in model_named.items():
-        shape, flat = stored[name]
-        if shape != p.data.shape:
+        values = stored[name]
+        if values.shape != p.data.shape:
             raise ModelError(
-                f"checkpoint parameter {name} has shape {shape}, model wants {p.data.shape}"
+                f"checkpoint parameter {name} has shape {values.shape}, model wants {p.data.shape}"
             )
-        if not np.isfinite(flat).all():
+        if not np.isfinite(values).all():
             raise ModelError(f"checkpoint parameter {name} holds non-finite values")
-        p.data[...] = flat.reshape(shape)
+        p.data[...] = values
     return model
 

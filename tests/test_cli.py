@@ -15,6 +15,7 @@ import pytest
 import karina
 from karina import cli, data, model, rollout, training
 from karina.cli import CliError
+from test_data import zero_extent_grid
 from test_model import flip_first_extent_bit
 
 
@@ -618,6 +619,16 @@ class TestCorruptInputs:
         assert err.startswith("config error:")
         assert "stem.conv.weight" in err
         assert not (out / "FAILED").exists()
+
+    def test_zero_extent_grid(self, tmp_path, capsys):
+        world = tmp_path / "z.grid"
+        world.write_bytes(zero_extent_grid(0))
+        out = tmp_path / "run"
+        assert run_train(out, "--set", f"data.path={world}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "degenerate extent" in err
+        assert list(out.iterdir()) == []   # no FAILED, no config.resolved, no checkpoint
 
     @pytest.mark.parametrize("source", ["grid", "synth"])
     def test_odd_longitude_count(self, tmp_path, capsys, source):

@@ -29,6 +29,17 @@ def small_spec(**kw):
     return D.SyntheticSpec(**base)
 
 
+def zero_extent_grid(axis):
+    """GFLD bytes whose header gives (time, channel, lat, lon) axis the
+    extent 0, and so no payload; GridFile refuses that, so it is built
+    by hand."""
+    extents = [2, 1, 4, 8]
+    extents[axis] = 0
+    t, c = extents[:2]
+    return (b"GFLD" + struct.pack("<5I", 1, *extents) + struct.pack(f"<{t}I", *range(1, t + 1))
+            + b"".join(struct.pack("<I", 1) + b"T" for _ in range(c)))
+
+
 def traced_peak(fn, *args):
     """fn(*args) and the peak bytes tracemalloc saw during the call;
     numpy reports its array buffers to tracemalloc."""
@@ -170,6 +181,13 @@ class TestGridFileIO:
         D.write_grid(gf, path)
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(D.DataError, match="trailing"):
+            D.read_grid(path)
+
+    @pytest.mark.parametrize("axis", range(4))
+    def test_zero_extent_is_data_error(self, tmp_path, axis):
+        path = tmp_path / "a.grid"
+        path.write_bytes(zero_extent_grid(axis))
+        with pytest.raises(D.DataError, match="degenerate extent"):
             D.read_grid(path)
 
     def test_written_bytes_deterministic(self, tmp_path):

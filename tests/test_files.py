@@ -1,6 +1,6 @@
 """The one artifact writer: a write that fails leaves the previous file
 as it was and no temp file behind, and no other module opens a file
-for writing."""
+for writing or codes binary records itself."""
 
 import ast
 import os
@@ -124,6 +124,39 @@ def test_guard_sees_every_write_mode():
 def test_only_the_writer_module_opens_for_writing():
     found = {
         path.name: write_opens(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "files.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def record_codec_uses(source):
+    """Line numbers that import struct or call readinto or frombuffer:
+    binary record coding that belongs in files.py."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names):
+            hits.append(node.lineno)
+        if isinstance(node, ast.ImportFrom) and node.module == "struct":
+            hits.append(node.lineno)
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            if name in ("readinto", "frombuffer"):
+                hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_codec_guard_sees_struct_and_raw_reads():
+    src = ("import struct\nimport os, struct as st\nfrom struct import pack\n"
+           "fh.readinto(buf)\nnp.frombuffer(raw, '<f4')\nfrombuffer(raw)\n"
+           "import structlog\nfh.read(4)\nbuf = readinto\nnp.asarray(raw)\n")
+    assert record_codec_uses(src) == [1, 2, 3, 4, 5, 6]
+
+
+def test_only_the_writer_module_codes_binary_records():
+    found = {
+        path.name: record_codec_uses(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
         if path.name != "files.py"
     }

@@ -287,6 +287,16 @@ class TestCheckpoint:
         with pytest.raises(ModelError, match="trailing"):
             load_checkpoint(path)
 
+    def test_repeated_parameter_name_rejected(self, tmp_path):
+        cfg = toy_config().to_text().encode("utf-8")
+        # name "a", rank 1, extent 1, one float32
+        record = struct.pack("<I", 1) + b"a" + struct.pack("<2If", 1, 1, 0.5)
+        path = tmp_path / "bad.krna"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<2I", 1, len(cfg)) + cfg
+                         + struct.pack("<I", 2) + record + record)
+        with pytest.raises(ModelError, match="repeats parameter name 'a'"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("header", [
         b"in_channels=x\n", b"stage_dims=\n", b"padding_mode=geo\xffcyclic\n",
         b"padding_mode=geocyclia\n",
