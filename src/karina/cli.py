@@ -32,7 +32,7 @@ from .data import (
     write_grid,
 )
 from .config import format_text, parse_text, parse_value, type_name
-from .files import write_lines
+from .files import write_csv, write_lines
 from .metrics import (
     MetricsError,
     MetricSample,
@@ -118,7 +118,6 @@ SCHEMA = {
     "rollout.horizon": ("int", 30),
     "rollout.init_day": ("int", -1),
     "rollout.static_reset": ("bool", True),
-    "rollout.single_file": ("bool", False),
     "ablate.leads": ("tuple", (1, 3, 5, 7)),
     "ablate.include_circular": ("bool", False),
     "ablate.kernel_sweep": ("bool", False),
@@ -204,6 +203,12 @@ def _load_bundle(cfg):
         if path:
             gf = read_grid(path)
             spec = None
+            # FileSource pairs each record with the next, and a lead of L
+            # days is L records ahead
+            gaps = np.flatnonzero(np.diff(gf.dates) != 1)
+            if gaps.size:
+                a, b = gf.dates[gaps[0]:gaps[0] + 2]
+                raise DataError(f"day stamps must be consecutive, day {a} is followed by day {b}")
             if tr + va + te > gf.n_time:
                 raise CliError(
                     f"splits need {tr + va + te} days, data.path holds {gf.n_time}"
@@ -502,10 +507,8 @@ def cmd_evaluate(cfg, out_dir):
     metrics_to_csv(baseline, os.path.join(out_dir, "baseline.csv"))
     channels = bundle.test.channels
     rmse = {(name, L): v for name, L, metric, v in rows if metric == "rmse"}
-    lines = ["lead_days," + ",".join(channels)]
-    for L in leads:
-        lines.append(f"{L}," + ",".join(repr(float(rmse[name, L])) for name in channels))
-    write_lines(os.path.join(out_dir, "rmse_by_lead.csv"), lines)
+    write_csv(os.path.join(out_dir, "rmse_by_lead.csv"), ("lead_days", *channels),
+              [(L, *(rmse[name, L] for name in channels)) for L in leads])
     acc_note = "with acc" if any(row[2] == "acc" for row in rows) else "acc skipped"
     lead1 = [rmse[name, leads[0]] for name in channels]
     print(
@@ -538,13 +541,9 @@ def cmd_rollout(cfg, out_dir):
     if series.horizon_done == 0:
         raise RolloutError("model blew up on the first step; nothing to write")
     forecast = series.to_grid_file()
-    if cfg["rollout.single_file"]:
-        files = [(forecast, "forecast.grid")]
-    else:
-        files = [(_slice_grid(forecast, k, k + 1), f"forecast_{k + 1:03d}.grid")
-                 for k in range(forecast.n_time)]
-    for gf, name in files:
-        write_grid(gf, os.path.join(out_dir, name))
+    for k in range(forecast.n_time):
+        write_grid(_slice_grid(forecast, k, k + 1),
+                   os.path.join(out_dir, f"forecast_{k + 1:03d}.grid"))
     drift_report(series, os.path.join(out_dir, "drift.csv"))
     if series.blowup_step is not None:
         write_lines(os.path.join(out_dir, "BLOWUP"),
@@ -555,7 +554,7 @@ def cmd_rollout(cfg, out_dir):
         )
     print(
         f"rolled out {series.horizon_done} steps from day {bundle.gf.dates[idx]} "
-        f"into {len(files)} file(s); model {series.checkpoint_id}"
+        f"into {forecast.n_time} file(s); model {series.checkpoint_id}"
     )
     return 0
 

@@ -6,6 +6,7 @@ through CODEC, keyed by type name.  Each formatter round-trips exactly
 through its parser.
 """
 
+import math
 from dataclasses import fields
 
 
@@ -15,6 +16,13 @@ def _parse_bool(raw):
     if raw == "false":
         return False
     raise ValueError(f"expected true or false, got {raw!r}")
+
+
+def _parse_float(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_ints(raw):
@@ -27,7 +35,7 @@ def _parse_ints(raw):
 # type name -> (parser, formatter); a tuple is a list of ints
 CODEC = {
     "int": (int, str),
-    "float": (float, repr),
+    "float": (_parse_float, repr),
     "bool": (_parse_bool, lambda v: "true" if v else "false"),
     "str": (str, str),
     "tuple": (_parse_ints, lambda v: ",".join(str(int(e)) for e in v)),

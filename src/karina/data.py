@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from karina.files import RecordReader, atomic_open, write_str, write_u32
+from karina.files import CSV_UNSAFE, RecordReader, atomic_open, write_str, write_u32
 from karina.metrics import spatial_mean
 from karina.padding import GridSpec
 
@@ -57,6 +57,9 @@ class GridFile:
             raise DataError("channel names must be unique")
         if any(not c for c in self.channels):
             raise DataError("channel names must be nonempty")
+        unsafe = [name for name in self.channels if any(ch in name for ch in CSV_UNSAFE)]
+        if unsafe:
+            raise DataError(f"channel name {unsafe[0]!r} holds a character a CSV cell may not hold")
         self.dates = np.asarray(self.dates, dtype=np.uint32)
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
         if self.values.ndim != 4:
@@ -116,7 +119,7 @@ def read_grid(path):
                 raise DataError(f"unsupported version {version}")
             dates = rec.u32(t, "dates")
             names = tuple(rec.text(f"channel name {i}") for i in range(c))
-            values = rec.f32((t, c, h, w), "values")
+            values = rec.f32((t, c, h, w), "payload")
             rec.end()
     except OSError as err:
         raise DataError(f"cannot read grid file {path}: {err}") from None

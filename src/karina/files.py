@@ -38,6 +38,36 @@ def write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
+# characters a CSV cell may not hold: they would split a cell or a row
+CSV_UNSAFE = (",", "\n", "\r")
+
+
+def _csv_cell(v):
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if v is None:
+        return ""
+    return repr(float(v))
+
+
+def write_csv(path, header, rows):
+    """Write the header names and then one line per row, atomically.
+
+    A cell is a str as it is, an int in decimal, None as empty, and any
+    other number as repr(float(v)), which reads back to the same float.
+    """
+    write_lines(path, [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows])
+
+
+def require_finite(values, error, what):
+    """Raise error unless every value is finite.  min and max carry NaN
+    and both infinities, and allocate no array the size of values."""
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise error(f"{what} holds a non-finite value")
+
+
 def write_u32(fh, *values):
     """Write each value as a little-endian u32."""
     fh.write(struct.pack(f"<{len(values)}I", *values))
@@ -86,13 +116,15 @@ class RecordReader:
             raise self._error(f"{what} is not UTF-8: {err}") from None
 
     def f32(self, shape, what):
-        """A new float32 array of shape, read straight into its memory."""
+        """A new float32 array of shape, read straight into its memory;
+        a non-finite value raises."""
         n = 4 * math.prod(shape)
         self._claim(n, what)
         values = np.empty(shape, dtype="<f4")
         # memoryview cannot cast a view with a zero extent
         if n and self._fh.readinto(memoryview(values).cast("B")) != n:
             raise self._error(f"truncated file: the file shrank while {what} was read")
+        require_finite(values, self._error, what)
         return values
 
     def end(self):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from karina.files import write_lines
+from karina.files import write_csv
 from karina.padding import GridSpec
 
 
@@ -258,7 +258,4 @@ def regression_map(z_members, x_members):
 def metrics_to_csv(rows, path, keys="channel"):
     """rows of (*key values, lead_days, metric, value) -> deterministic CSV;
     keys is the header of the key columns."""
-    lines = [f"{keys},lead_days,metric,value"]
-    for *key_values, lead, name, value in rows:
-        lines.append(f"{','.join(key_values)},{int(lead)},{name},{float(value)!r}")
-    write_lines(path, lines)
+    write_csv(path, (keys, "lead_days", "metric", "value"), rows)

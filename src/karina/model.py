@@ -21,7 +21,7 @@ import numpy as np
 
 from karina import engine
 from karina.config import field_types, format_text, parse_text
-from karina.files import RecordReader, atomic_open, write_str, write_u32
+from karina.files import RecordReader, atomic_open, require_finite, write_str, write_u32
 from karina.layers import Conv2d, ConvNextBlock, DepthScale, LayerNormChannels, Module
 from karina.padding import PaddingError, PaddingMode
 
@@ -196,7 +196,9 @@ def save_checkpoint(model, path):
         for name, p in named:
             write_str(fh, name)
             write_u32(fh, p.data.ndim, *p.data.shape)
-            fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+            values = np.ascontiguousarray(p.data, dtype="<f4")
+            require_finite(values, ModelError, f"{name} data")
+            fh.write(values.tobytes())
 
 
 def _read_checkpoint(fh):
@@ -247,8 +249,6 @@ def load_checkpoint(path):
             raise ModelError(
                 f"checkpoint parameter {name} has shape {values.shape}, model wants {p.data.shape}"
             )
-        if not np.isfinite(values).all():
-            raise ModelError(f"checkpoint parameter {name} holds non-finite values")
         p.data[...] = values
     return model
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from karina import engine
 from karina.data import GridFile, denormalize
-from karina.files import write_lines
+from karina.files import write_csv
 from karina.metrics import latitude_weights, weighted_moments
 from karina.padding import GridSpec
 
@@ -157,20 +157,11 @@ def drift_rows(series):
     in normalized space."""
     if series.horizon_done == 0:
         raise RolloutError("series holds no completed steps")
-    rows = []
-    for k in range(series.horizon_done):
-        for c, name in enumerate(series.channels):
-            rows.append((
-                k + 1, name,
-                float(series.step_means[k, c]), float(series.step_stds[k, c]),
-                float(series.step_mins[k, c]), float(series.step_maxs[k, c]),
-            ))
-    return rows
+    return [(k + 1, name, series.step_means[k, c], series.step_stds[k, c],
+             series.step_mins[k, c], series.step_maxs[k, c])
+            for k in range(series.horizon_done) for c, name in enumerate(series.channels)]
 
 
 def drift_report(series, path):
     """Deterministic per-step drift table."""
-    lines = ["lead_days,channel,mean,std,min,max"]
-    for lead, name, mean, std, lo, hi in drift_rows(series):
-        lines.append(f"{lead},{name},{mean!r},{std!r},{lo!r},{hi!r}")
-    write_lines(path, lines)
+    write_csv(path, ("lead_days", "channel", "mean", "std", "min", "max"), drift_rows(series))

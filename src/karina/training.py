@@ -16,7 +16,7 @@ import numpy as np
 
 from karina import engine
 from karina.data import checked_lags
-from karina.files import write_lines
+from karina.files import write_csv
 
 
 class TrainingError(Exception):
@@ -41,6 +41,8 @@ class TrainConfig:
         # leave parameters bit-identical, which is itself a useful check
         if self.lr < 0:
             raise TrainingError(f"lr must be nonnegative, got {self.lr}")
+        if not self.weight_decay >= 0:
+            raise TrainingError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if self.epochs < 1:
             raise TrainingError(f"epochs must be at least 1, got {self.epochs}")
         if not 0 <= self.lr_min <= self.lr:
@@ -56,8 +58,8 @@ class FinetunePhase:
 
     def __post_init__(self):
         checked_lags(self.lag_set, TrainingError)
-        if not self.lr > 0:
-            raise TrainingError(f"phase lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise TrainingError(f"phase lr must be positive and finite, got {self.lr}")
 
 
 @dataclass
@@ -80,13 +82,8 @@ class TrainReport:
     def to_csv(self, path):
         """epoch,step,lr,train_loss,val_loss; no wall-clock column, so a
         rerun from the same config writes byte-identical output."""
-        lines = ["epoch,step,lr,train_loss,val_loss"]
-        for r in self.records:
-            val = "" if r.val_loss is None else repr(float(r.val_loss))
-            lines.append(
-                f"{r.epoch},{r.step},{float(r.lr)!r},{float(r.train_loss)!r},{val}"
-            )
-        write_lines(path, lines)
+        write_csv(path, ("epoch", "step", "lr", "train_loss", "val_loss"),
+                  [(r.epoch, r.step, r.lr, r.train_loss, r.val_loss) for r in self.records])
 
 
 def l2_loss(pred, target, weights=None):

@@ -108,9 +108,9 @@ class TestConfigParsing:
     def test_default_resolved_bytes_pinned(self):
         # every key, type and default, byte for byte
         text = cli.resolved_text(cli.load_config())
-        assert len(cli.SCHEMA) == 46
+        assert len(cli.SCHEMA) == 45
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "5ff3fae8cf94529e64d1b1cc949b72feac94622e243bd1420f2de352ff253a22"
+            "e60c6dab6e6e0ef7186d98319d6984b6107adc976af044939f41a57e8c92cc3a"
         )
 
     @pytest.mark.parametrize("section", sorted(cli.SECTIONS))
@@ -118,6 +118,30 @@ class TestConfigParsing:
         for f in fields(cli.SECTIONS[section]):
             if f.name not in cli._NOT_KEYS:
                 assert f"{section}.{f.name}" in cli.SCHEMA
+
+    @pytest.mark.parametrize("command, setting", [
+        ("train", "train.lr=inf"),
+        ("train", "train.lr=1e999"),
+        ("train", "synth.noise=nan"),
+        ("train", "model.layer_scale_init=nan"),
+        ("train", "synth.speed_deg_per_day=inf"),
+        ("train", "train.weight_decay=-3"),
+        ("finetune", "finetune.phases=0:inf"),
+    ])
+    def test_non_finite_or_negative_value_refused(self, tmp_path, capsys, command, setting):
+        extra = []
+        if command == "finetune":
+            assert run_train(tmp_path / "pre") == 0
+            extra = ["--set", f"finetune.checkpoint={tmp_path / 'pre' / 'checkpoint.krna'}"]
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = cli.main([command, "--out", str(out), *SMOKE, *extra, "--set", setting])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:")
+        key = setting.partition("=")[0]
+        assert key.partition(".")[2] in err
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("config, bad, error", [
         (model.ModelConfig(), dict(stem_kernel=4), model.ModelError),
@@ -452,19 +476,6 @@ class TestRolloutCommand:
         # init defaults to the last day of the 30-day series (date 29)
         assert int(first.dates[0]) == 30
 
-    def test_single_file_flag(self, tmp_path):
-        ckpt = self.make_checkpoint(tmp_path)
-        out = tmp_path / "ro"
-        code = cli.main(["rollout", "--out", str(out), *SMOKE,
-                         "--set", f"rollout.checkpoint={ckpt}",
-                         "--set", "rollout.horizon=5",
-                         "--set", "rollout.single_file=true"])
-        assert code == 0
-        assert not list(out.glob("forecast_0*.grid"))
-        merged = data.read_grid(str(out / "forecast.grid"))
-        assert merged.n_time == 5
-        assert list(merged.dates) == [30, 31, 32, 33, 34]
-
     def test_matches_library_rollout(self, tmp_path):
         """The emitted fields are exactly what the library computes."""
         ckpt = self.make_checkpoint(tmp_path)
@@ -629,6 +640,54 @@ class TestCorruptInputs:
         assert err.startswith("config error:")
         assert "degenerate extent" in err
         assert list(out.iterdir()) == []   # no FAILED, no config.resolved, no checkpoint
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_csv_unsafe_channel_name(self, tmp_path, capsys, command):
+        # GridFile refuses these names, so they are patched into the file
+        gf = data.generate_synthetic(data.SyntheticSpec(
+            n_days=30, seed=2, n_lat=12, n_lon=24, noise=0.05))
+        world = tmp_path / "world.grid"
+        data.write_grid(data.GridFile(("a;b", "TR02", "SEAS", "OR_OG"), gf.dates, gf.values),
+                        str(world))
+        raw = world.read_bytes().replace(b"a;b", b"a,b", 1).replace(b"OR_OG", b"OR\nOG", 1)
+        world.write_bytes(raw)
+        out = tmp_path / "run"
+        code = cli.main([command, "--out", str(out), *SMOKE, "--set", f"data.path={world}",
+                         "--set", "eval.model=persistence"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data.path:")
+        assert "'a,b'" in err and "CSV cell" in err
+        assert list(out.iterdir()) == []
+
+    def test_non_finite_payload(self, tmp_path, capsys):
+        # NaN only in the last, test-slice day: training alone never sees it
+        gf = data.generate_synthetic(data.SyntheticSpec(
+            n_days=30, seed=2, n_lat=12, n_lon=24, noise=0.05))
+        gf.values[-1, 0, 5, 5] = np.nan
+        world = tmp_path / "world.grid"
+        data.write_grid(gf, str(world))
+        out = tmp_path / "run"
+        assert run_train(out, "--set", f"data.path={world}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data.path: payload holds a non-finite value")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_day_stamps_with_a_gap(self, tmp_path, capsys, command):
+        gf = data.generate_synthetic(data.SyntheticSpec(
+            n_days=40, seed=2, n_lat=12, n_lon=24, noise=0.05))
+        dates = np.r_[0:20, 30:50]
+        world = tmp_path / "world.grid"
+        data.write_grid(data.GridFile(gf.channels, dates, gf.values), str(world))
+        out = tmp_path / "run"
+        code = cli.main([command, "--out", str(out), *SMOKE, "--set", f"data.path={world}",
+                         "--set", "eval.model=persistence"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data.path: day stamps must be consecutive")
+        assert "day 19 is followed by day 30" in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("source", ["grid", "synth"])
     def test_odd_longitude_count(self, tmp_path, capsys, source):
@@ -835,6 +894,17 @@ class TestFailureFlagging:
         assert code == 2
         assert (out / "FAILED").exists()
         assert "epoch" in capsys.readouterr().err
+
+    def test_non_finite_weights_write_no_checkpoint(self, tmp_path, capsys):
+        # one epoch of one batch: the only AdamW step overflows the weights,
+        # and no later loss is computed to notice
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_train(out, "--set", "train.lr=1e300", "--set", "train.epochs=1",
+                             "--set", "train.batch_size=32")
+        assert code == 2
+        assert "holds a non-finite value" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["FAILED", "config.resolved"]
 
 
 KARINA_MODULES = [importlib.import_module(f"karina.{info.name}")

@@ -89,6 +89,12 @@ class TestGridFileContainer:
             D.GridFile(("A", ""), np.arange(1, dtype=np.uint32),
                        np.zeros((1, 2, 4, 8), np.float32))
 
+    @pytest.mark.parametrize("name", ["a,b", "OR\nOG", "OR\rOG"])
+    def test_csv_unsafe_channel_name_rejected(self, name):
+        with pytest.raises(D.DataError, match="CSV cell"):
+            D.GridFile(("A", name), np.arange(1, dtype=np.uint32),
+                       np.zeros((1, 2, 4, 8), np.float32))
+
     def test_date_count_must_match(self):
         with pytest.raises(D.DataError, match="dates"):
             D.GridFile(("A",), np.arange(3, dtype=np.uint32),
@@ -208,6 +214,15 @@ class TestGridFileIO:
         path.write_bytes(bytes(raw))
         want = len(raw) - gf.values.nbytes + 4 * 3 * 3 * 0xFFFFFFFF * 8
         with pytest.raises(D.DataError, match=f"truncated file: expected {want} bytes"):
+            D.read_grid(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_is_data_error(self, tmp_path, bad):
+        gf = self.make()
+        gf.values[2, 1, 3, 7] = bad
+        path = tmp_path / "a.grid"
+        D.write_grid(gf, path)
+        with pytest.raises(D.DataError, match="payload holds a non-finite value"):
             D.read_grid(path)
 
     def test_directory_is_data_error_naming_the_path(self, tmp_path):

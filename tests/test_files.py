@@ -1,6 +1,6 @@
 """The one artifact writer: a write that fails leaves the previous file
 as it was and no temp file behind, and no other module opens a file
-for writing or codes binary records itself."""
+for writing, codes binary records or formats CSV lines itself."""
 
 import ast
 import os
@@ -161,3 +161,26 @@ def test_only_the_writer_module_codes_binary_records():
         if path.name != "files.py"
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_write_csv_cell_rule(tmp_path):
+    path = tmp_path / "t.csv"
+    files.write_csv(path, ("key", "n", "opt", "x"), [
+        ("a", 3, None, 0.1),
+        ("b", np.int64(-2), 1.0, np.float32(0.5)),
+        ("c", np.uint32(7), np.float64(1 / 3), 2),
+    ])
+    assert path.read_text(encoding="utf-8") == (
+        "key,n,opt,x\na,3,,0.1\nb,-2,1.0,0.5\nc,7,0.3333333333333333,2\n"
+    )
+
+
+def test_only_the_commands_write_lines_themselves():
+    # every CSV table goes through files.write_csv; write_lines is left
+    # to cli's config.resolved, FAILED and BLOWUP
+    importers = {
+        path.name for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and any(a.name == "write_lines" for a in node.names)
+    }
+    assert importers == {"cli.py"}

@@ -310,11 +310,25 @@ class TestCheckpoint:
 
     def test_non_finite_parameter_rejected_by_name(self, tmp_path):
         m = build(toy_config(), seed=9)
-        m.head.bias.data[1] = np.nan
         path = tmp_path / "model.krna"
         save_checkpoint(m, path)
+        # the writer refuses NaN, so patch it into head.bias[1] on disk:
+        # name, rank 1, one extent, then the float32 payload
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"head.bias") + len(b"head.bias") + 8 + 4
+        struct.pack_into("<f", raw, at, np.nan)
+        path.write_bytes(bytes(raw))
         with pytest.raises(ModelError, match="head.bias"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_refused_by_the_writer(self, tmp_path, bad):
+        m = build(toy_config(), seed=9)
+        m.head.bias.data[1] = bad
+        path = tmp_path / "model.krna"
+        with pytest.raises(ModelError, match="head.bias data holds a non-finite value"):
+            save_checkpoint(m, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_extent_rejected_before_read(self, tmp_path):
         m = build(toy_config(), seed=9)
