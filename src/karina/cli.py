@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -46,7 +47,7 @@ from .metrics import (
     weighted_rmse,
 )
 from .model import ModelConfig, ModelError, build, load_checkpoint, save_checkpoint
-from .padding import PaddingError
+from .padding import PaddingError, PaddingMode, index_map
 from .rollout import RolloutError, drift_report, model_fingerprint, rollout
 from .training import (
     FinetunePhase,
@@ -154,6 +155,8 @@ def load_config(config_path=None, sets=(), seed=None):
         cfg[key] = parse_value(_TYPES, key, raw.strip(), "--set", CliError)
     if seed is not None:
         cfg["seed"] = int(seed)
+    if cfg["seed"] < 0:
+        raise CliError(f"seed must be non-negative, got {cfg['seed']}")
     return cfg
 
 
@@ -229,19 +232,21 @@ def _load_bundle(cfg):
     )
 
 
-def _validated(make, *args, **kwargs):
-    """make(*args, **kwargs), with a config's construction error turned
-    into a CliError."""
+@contextmanager
+def _checks(cfg, out_dir):
+    """A command's checks: a library error raised inside is a CliError
+    (exit 1, nothing written), and a clean exit writes config.resolved."""
     try:
-        return make(*args, **kwargs)
-    except (DataError, ModelError, TrainingError) as err:
+        yield
+    except (DataError, ModelError, PaddingError, TrainingError) as err:
         raise CliError(str(err)) from err
+    write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
 
 
 def _section_config(cfg, section, **extra):
     """The section's dataclass from its keys plus the extra fields."""
     values = {f.name: cfg[f"{section}.{f.name}"] for f in _section_fields(section)}
-    return _validated(SECTIONS[section], **values, **extra)
+    return SECTIONS[section](**values, **extra)
 
 
 def _loss_weights(tcfg, bundle):
@@ -256,21 +261,25 @@ def _loss_weights(tcfg, bundle):
     return w
 
 
+def _fits_grid(model, bundle):
+    """model, once the grid has rows for its widest pad (the table its first forward builds)."""
+    k = max(p.data.shape[-1] for p in model.parameters() if p.data.ndim == 4)
+    index_map(k // 2, bundle.gf.values.shape[-2:], PaddingMode.parse(model.config.padding_mode))
+    return model
+
+
 def _load_model(cfg, key, bundle):
     path = cfg[key]
     if not path:
         raise CliError(f"{key} is required")
-    try:
-        model = load_checkpoint(path)
-    except ModelError as err:
-        raise CliError(str(err)) from err
+    model = load_checkpoint(path)
     c = len(bundle.gf.channels)
     if model.config.in_channels != c or model.config.out_channels != c:
         raise CliError(
             f"checkpoint maps {model.config.in_channels} -> "
             f"{model.config.out_channels} channels, data has {c}"
         )
-    return model
+    return _fits_grid(model, bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +390,13 @@ def _validated_leads(cfg, key):
 # commands
 
 def cmd_train(cfg, out_dir):
-    bundle = _load_bundle(cfg)
-    tcfg = _section_config(cfg, "train", seed=cfg["seed"])
-    weights = _loss_weights(tcfg, bundle)
-    c = len(bundle.gf.channels)
-    mcfg = _section_config(cfg, "model", in_channels=c, out_channels=c)
-    write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
-    model = build(mcfg, seed=cfg["seed"])
+    with _checks(cfg, out_dir):
+        bundle = _load_bundle(cfg)
+        tcfg = _section_config(cfg, "train", seed=cfg["seed"])
+        weights = _loss_weights(tcfg, bundle)
+        c = len(bundle.gf.channels)
+        mcfg = _section_config(cfg, "model", in_channels=c, out_channels=c)
+        model = _fits_grid(build(mcfg, seed=cfg["seed"]), bundle)
     pairs = FileSource(bundle.train, bundle.stats).pairs()
     val_pairs = None
     if bundle.val is not None:
@@ -428,23 +437,20 @@ def _parse_phases(raw):
 
 
 def cmd_finetune(cfg, out_dir):
-    bundle = _load_bundle(cfg)
-    model = _load_model(cfg, "finetune.checkpoint", bundle)
-    phases = _parse_phases(cfg["finetune.phases"])
-    tcfg = _section_config(cfg, "train", seed=cfg["seed"])
-    weights = _loss_weights(tcfg, bundle)
-    if bundle.spec is not None:
-        # restrict the generator to the training window; the analytic
-        # fields for those days are identical under the shorter spec
-        train_spec = replace(bundle.spec, n_days=bundle.train.n_time)
-        source = SyntheticSource(SyntheticField(train_spec), bundle.stats)
-    else:
-        try:
+    with _checks(cfg, out_dir):
+        bundle = _load_bundle(cfg)
+        model = _load_model(cfg, "finetune.checkpoint", bundle)
+        phases = _parse_phases(cfg["finetune.phases"])
+        tcfg = _section_config(cfg, "train", seed=cfg["seed"])
+        weights = _loss_weights(tcfg, bundle)
+        if bundle.spec is not None:
+            # restrict the generator to the training window; the analytic
+            # fields for those days are identical under the shorter spec
+            train_spec = replace(bundle.spec, n_days=bundle.train.n_time)
+            source = SyntheticSource(SyntheticField(train_spec), bundle.stats)
+        else:
             require_daily_lags([lag for phase in phases for lag in phase.lag_set])
-        except DataError as err:
-            raise CliError(str(err)) from err
-        source = FileSource(bundle.train, bundle.stats)
-    write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
+            source = FileSource(bundle.train, bundle.stats)
     val_pairs = None
     if bundle.val is not None:
         val_pairs = FileSource(bundle.val, bundle.stats).pairs()
@@ -485,17 +491,17 @@ def _fit_climatology(cfg, bundle):
 
 
 def cmd_evaluate(cfg, out_dir):
-    bundle = _load_bundle(cfg)
-    mode = cfg["eval.model"]
-    if mode not in ("checkpoint", "truth", "persistence"):
-        raise CliError(
-            f"eval.model must be checkpoint, truth, or persistence, got {mode!r}"
-        )
-    model = _load_model(cfg, "eval.checkpoint", bundle) if mode == "checkpoint" else None
-    leads = _validated_leads(cfg, "eval.leads")
-    clim = _fit_climatology(cfg, bundle)
-    _check_test_slice(bundle, leads)
-    write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
+    with _checks(cfg, out_dir):
+        bundle = _load_bundle(cfg)
+        mode = cfg["eval.model"]
+        if mode not in ("checkpoint", "truth", "persistence"):
+            raise CliError(
+                f"eval.model must be checkpoint, truth, or persistence, got {mode!r}"
+            )
+        model = _load_model(cfg, "eval.checkpoint", bundle) if mode == "checkpoint" else None
+        leads = _validated_leads(cfg, "eval.leads")
+        clim = _fit_climatology(cfg, bundle)
+        _check_test_slice(bundle, leads)
     rows = _score_forecasts(
         bundle, leads, mode, model=model,
         static_reset=cfg["eval.static_reset"], weighted=cfg["eval.weighted"],
@@ -520,20 +526,20 @@ def cmd_evaluate(cfg, out_dir):
 
 
 def cmd_rollout(cfg, out_dir):
-    bundle = _load_bundle(cfg)
-    model = _load_model(cfg, "rollout.checkpoint", bundle)
-    horizon = cfg["rollout.horizon"]
-    if horizon < 1:
-        raise CliError(f"rollout.horizon must be at least 1, got {horizon}")
-    idx = cfg["rollout.init_day"]
-    if idx < 0:
-        idx += bundle.gf.n_time
-    if not 0 <= idx < bundle.gf.n_time:
-        raise CliError(
-            f"rollout.init_day {cfg['rollout.init_day']} outside the "
-            f"{bundle.gf.n_time}-day series"
-        )
-    write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
+    with _checks(cfg, out_dir):
+        bundle = _load_bundle(cfg)
+        model = _load_model(cfg, "rollout.checkpoint", bundle)
+        horizon = cfg["rollout.horizon"]
+        if horizon < 1:
+            raise CliError(f"rollout.horizon must be at least 1, got {horizon}")
+        idx = cfg["rollout.init_day"]
+        if idx < 0:
+            idx += bundle.gf.n_time
+        if not 0 <= idx < bundle.gf.n_time:
+            raise CliError(
+                f"rollout.init_day {cfg['rollout.init_day']} outside the "
+                f"{bundle.gf.n_time}-day series"
+            )
     z0 = normalize(bundle.gf.values[idx], bundle.stats)
     static = bundle.static_mask if cfg["rollout.static_reset"] else None
     series = rollout(model, z0, horizon, bundle.stats, static,
@@ -567,37 +573,34 @@ ABLATION_VARIANTS = (
 
 
 def cmd_ablate(cfg, out_dir):
-    bundle = _load_bundle(cfg)
-    leads = _validated_leads(cfg, "ablate.leads")
-    polar_rows = cfg["ablate.polar_rows"]
-    if polar_rows < 1:
-        raise CliError(f"ablate.polar_rows must be positive, got {polar_rows}")
-    _check_test_slice(bundle, leads, polar_rows)
-    tcfg = _section_config(cfg, "train", seed=cfg["seed"])
-    weights = _loss_weights(tcfg, bundle)
-    c = len(bundle.gf.channels)
-    base = _section_config(cfg, "model", in_channels=c, out_channels=c)
-    runs = list(ABLATION_VARIANTS)
-    if cfg["ablate.include_circular"]:
-        runs.append(("circular_senet", "circular_zero_pole", True))
-    variants = [
-        (tag, _validated(replace, base, padding_mode=mode, se_enabled=se))
-        for tag, mode, se in runs
-    ]
-    kernels = (3, 5, 7) if cfg["ablate.kernel_sweep"] else ()
-    sweep = [
-        (str(k), _validated(replace, base, stem_kernel=k, padding_mode="geocyclic",
-                            se_enabled=True))
-        for k in kernels
-    ]
-    write_lines(os.path.join(out_dir, "config.resolved"), resolved_text(cfg).splitlines())
+    with _checks(cfg, out_dir):
+        bundle = _load_bundle(cfg)
+        leads = _validated_leads(cfg, "ablate.leads")
+        polar_rows = cfg["ablate.polar_rows"]
+        if polar_rows < 1:
+            raise CliError(f"ablate.polar_rows must be positive, got {polar_rows}")
+        _check_test_slice(bundle, leads, polar_rows)
+        tcfg = _section_config(cfg, "train", seed=cfg["seed"])
+        weights = _loss_weights(tcfg, bundle)
+        c = len(bundle.gf.channels)
+        base = _section_config(cfg, "model", in_channels=c, out_channels=c)
+        runs = list(ABLATION_VARIANTS)
+        if cfg["ablate.include_circular"]:
+            runs.append(("circular_senet", "circular_zero_pole", True))
+
+        def built(**changes):
+            return _fits_grid(build(replace(base, **changes), seed=cfg["seed"]), bundle)
+
+        variants = [(tag, built(padding_mode=mode, se_enabled=se)) for tag, mode, se in runs]
+        kernels = (3, 5, 7) if cfg["ablate.kernel_sweep"] else ()
+        sweep = [(str(k), built(stem_kernel=k, padding_mode="geocyclic", se_enabled=True))
+                 for k in kernels]
     pairs = FileSource(bundle.train, bundle.stats).pairs()
 
     def train_and_score(runs):
         """(tag, channel, lead, metric, value) rows of each run, in order."""
         rows = []
-        for tag, config in runs:
-            model = build(config, seed=cfg["seed"])
+        for tag, model in runs:
             train(model, pairs, tcfg, loss_weights=weights)
             rows += [(tag, *row) for row in _score_forecasts(
                 bundle, leads, "checkpoint", model=model, polar_rows=polar_rows)]

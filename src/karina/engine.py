@@ -13,9 +13,8 @@ them:
   splitting a batch into micro-batches and summing gradients reproduces
   the large-batch gradient bit for bit.
 * Spatial reductions use either exactly-rounded summation (fsum, 64-bit
-  mode) or a fixed-tree numpy sum in float64 (32-bit mode), so global
-  pooling commutes with longitude rolls: exactly in float64, and in
-  float32 only in practice, since a roll can reorder the pairwise tree.
+  mode) or a float64 sum over each row sorted first (32-bit mode), so
+  global pooling commutes exactly with longitude rolls in both dtypes.
 """
 
 from __future__ import annotations
@@ -340,10 +339,9 @@ def global_avg_pool(a):
 
     The spatial sum must not depend on column order, otherwise pooled
     channel gates would break exact longitude-roll equivariance.  In
-    float64 we use fsum (exactly rounded, order-free); in float32 we sum
-    in float64 with numpy's fixed pairwise tree over the contiguous
-    spatial block, which a pure column permutation does not reorder
-    enough to change in practice, then round once.
+    float64 we use fsum (exactly rounded, order-free); in float32 we
+    sort each row, which no permutation of its columns can change, sum
+    it in float64 and round once.
     """
     if a.data.ndim < 3:
         raise ShapeError(f"global_avg_pool: need (..., C, H, W), got {a.data.shape}")
@@ -355,7 +353,7 @@ def global_avg_pool(a):
     if a.data.dtype == np.float64:
         sums = np.array([math.fsum(row) for row in flat.tolist()], dtype=np.float64)
     else:
-        sums = flat.sum(axis=1, dtype=np.float64)
+        sums = np.sort(flat, axis=1).sum(axis=1, dtype=np.float64)
     out_data = (sums / (h * w)).astype(a.data.dtype).reshape(lead_shape)
     inv = 1.0 / (h * w)
 

@@ -1,5 +1,6 @@
 """Command-line behavior: config plumbing, artifacts, determinism."""
 
+import ast
 import hashlib
 import importlib
 import os
@@ -8,6 +9,7 @@ import struct
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +144,17 @@ class TestConfigParsing:
         key = setting.partition("=")[0]
         assert key.partition(".")[2] in err
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["seed_flag", "set", "config_file"])
+    def test_negative_seed_refused(self, tmp_path, capsys, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n")
+        args = {"seed_flag": ["--seed", "-1"], "set": ["--set", "seed=-1"],
+                "config_file": ["--config", str(cfg)]}[source]
+        out = tmp_path / "run"
+        assert run_train(out, *args) == 1
+        assert capsys.readouterr().err == "config error: seed must be non-negative, got -1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("config, bad, error", [
         (model.ModelConfig(), dict(stem_kernel=4), model.ModelError),
@@ -776,6 +789,35 @@ class TestLateConfigErrorsWriteNothing:
         self.assert_rejected(capsys, tmp_path / "ab", "ablate", *ABLATE_ARGS,
                              "--set", "ablate.polar_rows=7")
 
+    def test_synthetic_fields_that_overflow_float32(self, tmp_path, capsys):
+        out = tmp_path / "tr"
+        with np.errstate(over="ignore"):
+            assert run_train(out, "--set", "synth.noise=1e300") == 1
+        err = capsys.readouterr().err
+        assert err == "config error: training data contains non-finite values\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, setting, message", [
+        (command, "synth.n_lat=2", "pad width 3 exceeds latitude extent 2")
+        for command in ("train", "finetune", "evaluate", "rollout", "ablate")
+    ] + [("train", "model.stem_kernel=31", "pad width 15 exceeds latitude extent 12")])
+    def test_grid_with_fewer_rows_than_the_widest_pad(self, tmp_path, capsys, command,
+                                                      setting, message):
+        # the blocks' 7-wide depthwise conv pads 3 rows past each pole
+        args = [*SMOKE, *EVAL_LEADS]
+        if command in ("finetune", "evaluate", "rollout"):
+            assert run_train(tmp_path / "pre") == 0
+            key = {"finetune": "finetune", "evaluate": "eval", "rollout": "rollout"}[command]
+            args += ["--set", f"{key}.checkpoint={tmp_path / 'pre' / 'checkpoint.krna'}"]
+        elif command == "ablate":
+            args = [*ABLATE_ARGS, "--set", "ablate.polar_rows=1",
+                    "--set", "ablate.kernel_sweep=true"]
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert cli.main([command, "--out", str(out), *args, "--set", setting]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(out.iterdir()) == []
+
     def test_finetune_hour_lag_on_grid_file_before_any_phase(self, tmp_path, capsys):
         gf = data.generate_synthetic(data.SyntheticSpec(
             n_days=30, seed=2, n_lat=12, n_lon=24, noise=0.05))
@@ -787,6 +829,34 @@ class TestLateConfigErrorsWriteNothing:
                              "--set", f"data.path={world}",
                              "--set", f"finetune.checkpoint={pre / 'checkpoint.krna'}",
                              "--set", "finetune.phases=0:0.001;0,12:0.001")
+
+
+def resolved_text_callers(source):
+    """(the top-level definition around each resolved_text call, in
+    order, "<module>" outside any; whether a top-level _validated is
+    defined)."""
+    callers, validated = [], False
+    for stmt in ast.parse(source).body:
+        name = getattr(stmt, "name", "<module>")
+        validated |= name == "_validated"
+        callers += [name for node in ast.walk(stmt) if isinstance(node, ast.Call)
+                    and "resolved_text" in (getattr(node.func, "id", None),
+                                            getattr(node.func, "attr", None))]
+    return callers, validated
+
+
+def test_config_resolved_has_one_writer():
+    # the guard itself, on a source string
+    src = ("def _checks(cfg):\n    write(resolved_text(cfg))\n"
+           "def cmd_a(cfg):\n    x = cli.resolved_text(cfg).splitlines()\n"
+           "def _validated(make):\n    return make()\n"
+           "text = resolved_text(cfg)\n"
+           "def resolved(cfg):\n    return resolved_text\n")
+    assert resolved_text_callers(src) == (["_checks", "cmd_a", "<module>"], True)
+    # every command's checks run in one _checks block, which alone
+    # writes config.resolved once they have all passed
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert resolved_text_callers(source) == (["_checks"], False)
 
 
 def report_loss(out):

@@ -141,6 +141,16 @@ class TestReductions:
                 want = math.fsum(x[b, c].reshape(-1).tolist()) / 24.0
                 assert got[b, c] == want
 
+    def test_float32_global_avg_pool_is_exactly_roll_invariant(self):
+        # 1.0 survives only where it is added after the two large values
+        # cancel, so a column order that moves the cancellation shows
+        x = np.zeros((1, 1, 3, 42), dtype=np.float32)
+        x[0, 0, :, 0] = 2.0 ** 60, -2.0 ** 60, 1.0
+        want = E.global_avg_pool(E.Tensor(x)).data.tobytes()
+        for shift in range(42):
+            got = E.global_avg_pool(E.Tensor(np.roll(x, shift, axis=-1))).data
+            assert got.tobytes() == want, f"shift {shift}"
+
     def test_global_avg_pool_rank3(self):
         x = self.rng.standard_normal((3, 4, 6))
         got = E.global_avg_pool(E.Tensor(x)).data
