@@ -360,7 +360,9 @@ class SyntheticField:
 def generate_synthetic(spec):
     """Daily GridFile sampled from the analytic fields."""
     field_set = SyntheticField(spec)
-    values = np.stack([field_set.frame(t) for t in range(spec.n_days)]).astype(np.float32)
+    # a finite setting can overflow float32; compute_norm_stats names the error
+    with np.errstate(over="ignore"):
+        values = np.stack([field_set.frame(t) for t in range(spec.n_days)]).astype(np.float32)
     dates = spec.start_day + np.arange(spec.n_days, dtype=np.uint32)
     return GridFile(channels=field_set.channels, dates=dates, values=values)
 

@@ -489,6 +489,11 @@ def pad2d(x, table):
     table is a (Hp, Wp) int array of source indices into the flattened
     (H, W) plane, -1 meaning zero fill.  The backward pass scatter-adds
     with bincount, which accumulates in fixed index order.
+
+    The output is C-ordered.  Both gathers use take(..., axis=1): numpy
+    returns a[:, idx] pixel-major (strides (itemsize, rows * itemsize)),
+    and every im2col copy and dx buffer built from such an array would
+    stride across memory.
     """
     hp, wp = table.shape
     table = table.reshape(-1)
@@ -498,18 +503,18 @@ def pad2d(x, table):
     flat = x.data.reshape(-1, h * w)
     rows = flat.shape[0]
     safe = np.maximum(table, 0)
-    out = flat[:, safe]
+    out = flat.take(safe, axis=1)
     zero_mask = table < 0
     if zero_mask.any():
         out[:, zero_mask] = 0
     out_data = out.reshape(x.data.shape[:-2] + (hp, wp))
-    valid = table >= 0
+    valid = np.flatnonzero(table >= 0)
     src = table[valid]
 
     def bwd(g):
         if not x.requires_grad:
             return
-        gv = g.reshape(rows, hp * wp)[:, valid]
+        gv = g.reshape(rows, hp * wp).take(valid, axis=1)
         dx = np.empty((rows, h * w), dtype=np.float64)
         for r in range(rows):
             dx[r] = np.bincount(src, weights=gv[r], minlength=h * w)
@@ -560,6 +565,18 @@ def conv2d_valid(x, w, b, groups=1):
     of Hp * Wp, and building it for the whole batch at once raised
     train_toy's peak RSS from 99.3 to 108.9 MB.  matmul runs one GEMM per
     (sample, group) either way, so the bits do not depend on the loop.
+
+    Depthwise dx (Cin/G = 1, Cout = G) is a tap loop instead, with no
+    patch matrix and no BLAS: dx starts at +0, and for taps
+    t = i*K + j = K*K-1 down to 0 the window dx[..., i:i+Ho, j:j+Wo]
+    adds w[:, t] * g.  These are the bits of the formula above.  There
+    the flipped kernel is strided, so matmul runs numpy's own loop: each
+    element starts at +0 and adds each w*g product in flipped-tap order,
+    rounding each product and each add once.  The tap loop adds the same
+    products in the same order.  It skips only the products against the
+    zero padding, which are +-0, and adding +-0 to a sum that starts at
+    +0 never changes it.  The depthwise forward and dW still run through
+    BLAS (_im2col_gemm).
     """
     _same_dtype(x, w, "conv2d_valid")
     _same_dtype(x, b, "conv2d_valid")
@@ -593,7 +610,15 @@ def conv2d_valid(x, w, b, groups=1):
             gg = gmat.reshape(bsz, groups, cout // groups, -1)
             per_sample = np.matmul(gg, gcols.transpose(0, 1, 3, 2))
             _accumulate_samples(w, per_sample.reshape((bsz,) + w.data.shape))
-        if x.requires_grad:
+        if x.requires_grad and cin_g == 1 and cout == groups:
+            taps = w.data.reshape(1, cout, k * k)
+            ho, wo = g.shape[2:]
+            dx = np.zeros(xd.shape, dtype=xd.dtype)
+            for t in range(k * k - 1, -1, -1):
+                i, j = divmod(t, k)
+                dx[:, :, i:i + ho, j:j + wo] += taps[..., t, None, None] * g
+            _accumulate(x, dx)
+        elif x.requires_grad:
             wf = (w.data.reshape(groups, cout // groups, cin_g, k, k)[..., ::-1, ::-1]
                   .transpose(0, 2, 1, 3, 4).reshape(cin, cout // groups, k, k))
             gp = np.zeros((bsz, cout, hp + k - 1, wp + k - 1), dtype=g.dtype)

@@ -797,6 +797,19 @@ class TestLateConfigErrorsWriteNothing:
         assert err == "config error: training data contains non-finite values\n"
         assert list(out.iterdir()) == []
 
+    def test_synthetic_overflow_prints_only_the_named_error(self, tmp_path):
+        # a child process, so no errstate of the test hides numpy's warning
+        out = tmp_path / "tr"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "karina.cli", "train", "--out", str(out), *SMOKE,
+             "--set", "synth.noise=1e300"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr == "config error: training data contains non-finite values\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command, setting, message", [
         (command, "synth.n_lat=2", "pad width 3 exceeds latitude extent 2")
         for command in ("train", "finetune", "evaluate", "rollout", "ablate")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from karina import engine as E
+from karina.padding import PaddingMode, index_map
 
 
 def numeric_grad(fn, arr, h=1e-6):
@@ -315,6 +316,18 @@ class TestPad2d:
         table = np.array([[0, 0, 0], [7, -1, 3], [11, 11, 5]], dtype=np.int64)
         c = E.Tensor(self.rng.standard_normal((2, 3, 3)))
         assert_grad_matches(lambda: E.sum_all(E.mul(E.pad2d(x, table), c)), [x])
+
+    @pytest.mark.parametrize("lead", [(1, 1), (2, 3), (4, 16)])
+    @pytest.mark.parametrize("mode", list(PaddingMode))
+    def test_output_and_grad_are_c_ordered(self, mode, lead):
+        # a[:, idx] would hand back a pixel-major gather
+        table = index_map(3, (8, 16), mode)
+        assert (table < 0).any() == (mode is not PaddingMode.GEOCYCLIC)
+        x = E.Parameter(self.rng.standard_normal(lead + (8, 16)).astype(np.float32), "x")
+        y = E.pad2d(x, table)
+        assert y.data.flags.c_contiguous
+        E.backward(E.sum_all(y))
+        assert x.grad.flags.c_contiguous
 
 
 class TestChannelAndSampleScale:

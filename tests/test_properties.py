@@ -2,7 +2,8 @@
 conv gradients bit for bit against their contracts (dx is conv's own
 forward on the padded upstream gradient with the flipped, in/out-swapped
 kernel; the w and b gradients add per-sample GEMMs left to right),
-exact roll equivariance of float32 pad+conv, and the padding tables
+depthwise dx bit for bit against its tap-loop arithmetic on every
+OpenBLAS kernel, exact roll equivariance of float32 pad+conv, and the padding tables
 against the walk-the-sphere oracle.  Damaged `.grid` and `.krna`
 files either load or raise the reader's own error.
 
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from blas_helpers import run_per_core
 from karina import engine as E
 from karina import layers as L
 from karina.data import DataError, GridFile, read_grid, write_grid
@@ -125,6 +127,79 @@ def test_conv_x_grad_is_forward_on_padded_g_bits(bsz, c, k, dh, dw, dtype, group
     for got, want in zip((xt.grad, wt.grad, bt.grad), wants):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def depthwise_case(bsz, c, k, dh, dw, dtype, seed):
+    """A depthwise kernel with -0.0 taps and an upstream gradient with
+    +0.0 and -0.0 entries, so products of every sign of zero occur."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((c, 1, k, k)).astype(dtype)
+    w[rng.random(w.shape) < 0.2] = -0.0
+    g = rng.standard_normal((bsz, c, dh + 1, dw + 1)).astype(dtype)
+    g[rng.random(g.shape) < 0.5] = 0.0
+    g[rng.random(g.shape) < 0.1] = -0.0
+    return w, g
+
+
+def depthwise_x_grad(w, g):
+    """x.grad of depthwise conv2d_valid against upstream gradient g."""
+    c, _, k, _ = w.shape
+    bsz, _, ho, wo = g.shape
+    x = E.Parameter(np.ones((bsz, c, ho + k - 1, wo + k - 1), dtype=w.dtype), "x")
+    y = E.conv2d_valid(x, E.Tensor(w), E.Tensor(np.zeros(c, dtype=w.dtype)), groups=c)
+    E.backward(E.sum_all(E.mul(y, E.Tensor(g))))
+    return x.grad
+
+
+def depthwise_x_grad_loop(w, g):
+    """The same dx by its stated arithmetic: each element starts at +0.0
+    and adds w_flip[t] * g_pad[its window shifted by t] for the taps t of
+    the flipped kernel in ascending order, with each product and each add
+    rounded once in the dtype; g_pad is g zero-padded by K-1."""
+    c, _, k, _ = w.shape
+    bsz, _, ho, wo = g.shape
+    hp, wp = ho + k - 1, wo + k - 1
+    w_flip = w[:, 0, ::-1, ::-1].reshape(c, k * k)
+    g_pad = np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+    dx = np.zeros((bsz, c, hp, wp), dtype=g.dtype)
+    for t in range(k * k):
+        a, b = divmod(t, k)
+        dx = dx + w_flip[:, t, None, None] * g_pad[:, :, a:a + hp, b:b + wp]
+    return dx
+
+
+@FIXED
+@given(st.integers(1, 3), st.integers(1, 4), odd_kernels, st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+def test_depthwise_x_grad_is_the_tap_loop_bits(bsz, c, k, dh, dw, dtype, seed):
+    w, g = depthwise_case(bsz, c, k, dh, dw, dtype, seed)
+    got, want = depthwise_x_grad(w, g), depthwise_x_grad_loop(w, g)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# (bsz, c, k, dh, dw, dtype, seed); the first is a BENCH block's 7x7
+# depthwise conv on the 16x32 grid
+DEPTHWISE_CORE_CASES = [(4, 8, 7, 15, 31, np.float32, 0), (2, 3, 5, 4, 6, np.float64, 1),
+                        (3, 5, 3, 2, 9, np.float32, 2), (2, 4, 1, 3, 3, np.float32, 3)]
+
+DEPTHWISE_PER_CORE = """
+import hashlib
+from test_properties import (DEPTHWISE_CORE_CASES, depthwise_case, depthwise_x_grad,
+                             depthwise_x_grad_loop)
+for case in DEPTHWISE_CORE_CASES:
+    w, g = depthwise_case(*case)
+    got = depthwise_x_grad(w, g).tobytes()
+    print(got == depthwise_x_grad_loop(w, g).tobytes(), hashlib.sha256(got).hexdigest())
+"""
+
+
+def test_depthwise_x_grad_bits_hold_on_every_blas_kernel():
+    runs = run_per_core(DEPTHWISE_PER_CORE)
+    if not runs:
+        pytest.skip("no OpenBLAS kernel of numpy's bundled library could be selected")
+    lines = {core: out.splitlines() for core, out in runs.items()}
+    assert all(line.startswith("True ") for out in lines.values() for line in out), lines
+    assert len({tuple(out) for out in lines.values()}) == 1, lines
 
 
 @FIXED

@@ -376,6 +376,27 @@ class TestTrainLoop:
         rep.to_csv(path)
         assert path.read_text().splitlines()[1] == "0,1,0.001,0.5,"
 
+    def test_bench_step_keeps_every_array_c_ordered(self, monkeypatch):
+        # the BENCH step: batch 4 on the 16x32 grid, four channels, the
+        # default stage dims 8,16 and depths 1,1
+        made = []
+        make = E._make
+
+        def spy(out_data, parents, backward_fn, op):
+            assert out_data.flags.c_contiguous, f"{op} output strides {out_data.strides}"
+            made.append(make(out_data, parents, backward_fn, op))
+            return made[-1]
+
+        monkeypatch.setattr(E, "_make", spy)
+        model = M.build(tiny_config(in_channels=4, out_channels=4, stage_dims=(8, 16),
+                                    depths=(1, 1)), seed=0)
+        pairs = make_pairs(np.random.default_rng(22), 4, c=4, h=16, w=32)
+        model.train()
+        E.backward(T.l2_loss(model.forward(pairs.x), E.Tensor(pairs.y)))
+        for t in made + model.parameters():
+            if t.grad is not None:
+                assert t.grad.flags.c_contiguous, f"{t!r} grad strides {t.grad.strides}"
+
 
 class FakeLagSource:
     """Daily series with analytic hourly offsets: value(t) = base + t*slope
