@@ -6,12 +6,15 @@ resolved copy of that config next to its outputs, and draws all of its
 randomness from the single `seed` key, so any run can be reproduced from
 the resolved copy alone.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure
+or an interrupt (Ctrl-C or SIGTERM), which also leaves a FAILED marker.
 """
 
 import argparse
 import os
+import signal
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
@@ -655,6 +658,31 @@ def _build_parser():
     return parser
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
+@contextmanager
+def _sigterm_interrupts():
+    """Inside the block SIGTERM raises KeyboardInterrupt, as Ctrl-C does.
+    Only the main thread may set a handler; the old one comes back on
+    exit, so a caller that runs main in process keeps its own."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    prev = signal.signal(signal.SIGTERM, _interrupt)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, prev)
+
+
+def _failed(out_dir, message):
+    write_lines(os.path.join(out_dir, "FAILED"), [message])
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
@@ -669,14 +697,15 @@ def main(argv=None):
         print(f"config error: {err}", file=sys.stderr)
         return 1
     try:
-        return COMMANDS[args.command](cfg, out_dir)
+        with _sigterm_interrupts():
+            return COMMANDS[args.command](cfg, out_dir)
     except CliError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        return _failed(out_dir, "interrupted")
     except Exception as err:  # noqa: BLE001 - boundary: report, flag, exit 2
-        write_lines(os.path.join(out_dir, "FAILED"), [f"{err}"])
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _failed(out_dir, f"{err}")
 
 
 if __name__ == "__main__":

@@ -524,59 +524,127 @@ def pad2d(x, table):
     return _make(out_data, (x,), bwd, "pad2d")
 
 
-def _im2col_gemm(x4, w, groups):
-    """Valid cross-correlation of x4 (B, Cin, Hp, Wp) with w (Cout, Cin/G, K, K).
+# The most patch-matrix bytes _patches builds at once: one core's L2.  In
+# a sweep of 0.25 to 64 MiB (BENCH_patches.json), 0.5 to 2 MiB ran alike
+# and 4 MiB and more ran depthwise convs slower.
+_PATCH_BYTES = 2 << 20
 
-    cols[b, c, dy*K + dx] is the input plane shifted by (dy, dx): a view
-    of x4 for 1x1 kernels, one copy otherwise.  Then one GEMM per
-    (sample, group) contracts the (c, tap) patch axis: dense is G=1,
-    depthwise G=C with one output row per group.  Returns the output
-    (B, Cout, Ho, Wo) and the grouped patch matrix.
+
+def _patches(x4, k, groups):
+    """The grouped patch matrix of x4 (B, Cin, Hp, Wp) for a K x K kernel,
+    one block at a time.  Yields (samples, groups, cols): the block's
+    sample and group slices, and cols[n, g, c*K*K + dy*K + dx, p], the
+    plane of channel c of the block's group g in its sample n, shifted
+    by (dy, dx), at output pixel p.
+
+    A block holds whole samples while one sample's matrix fits in
+    _PATCH_BYTES, else a run of one sample's groups, never less than one
+    (sample, group).  The blocks share one buffer, so a caller is done
+    with a block when it asks for the next.  Where the windows already
+    lie as patch rows (1x1 kernels, or a single output column) the matrix
+    is a view of x4 and comes as one block.
+
+    A GEMM on a block's (sample, group) slice therefore sees the operand
+    it saw on the whole matrix that reshaping the windows gives: the same
+    view, or a C-ordered (Cin/G * K * K, Ho * Wo) copy with the same
+    values, shape and strides.  So no block size can move a bit.
     """
     bsz, cin, hp, wp = x4.shape
+    cin_g = cin // groups
+    ho, wo = hp - k + 1, wp - k + 1
+    rows = cin_g * k * k
+    win = sliding_window_view(x4, (k, k), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    try:
+        view = win.reshape(bsz, groups, rows, ho * wo, copy=False)
+    except ValueError:
+        view = None
+    if view is not None:
+        yield slice(0, bsz), slice(0, groups), view
+        return
+    group_bytes = rows * ho * wo * x4.itemsize
+    if groups * group_bytes <= _PATCH_BYTES:
+        nb, gb = _PATCH_BYTES // (groups * group_bytes), groups
+    else:
+        nb, gb = 1, max(1, _PATCH_BYTES // group_bytes)
+    buf = np.empty(min(nb, bsz) * gb * rows * ho * wo, dtype=x4.dtype)
+    for n0 in range(0, bsz, nb):
+        ns = slice(n0, min(n0 + nb, bsz))
+        for g0 in range(0, groups, gb):
+            gs = slice(g0, min(g0 + gb, groups))
+            m, h = ns.stop - ns.start, gs.stop - gs.start
+            cols = buf[:m * h * rows * ho * wo].reshape(m, h, rows, ho * wo)
+            np.copyto(cols.reshape(m, h * cin_g, k, k, ho, wo),
+                      win[ns, g0 * cin_g:gs.stop * cin_g])
+            yield ns, gs, cols
+
+
+def _conv(x4, w, groups):
+    """Valid cross-correlation of x4 (B, Cin, Hp, Wp) with w (Cout, Cin/G, K, K):
+    one GEMM per (sample, group) of the group's kernel rows against its
+    patch matrix (_patches).  Dense is G=1, depthwise G=C with one output
+    row per group.  Returns (B, Cout, Ho, Wo), C-ordered.
+    """
+    bsz, _, hp, wp = x4.shape
     cout, cin_g, k, _ = w.shape
     ho, wo = hp - k + 1, wp - k + 1
-    cols = sliding_window_view(x4, (k, k), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
-    gcols = cols.reshape(bsz, groups, cin_g * k * k, ho * wo)
     gw = w.reshape(groups, cout // groups, cin_g * k * k)
-    return np.matmul(gw, gcols).reshape(bsz, cout, ho, wo), gcols
+    out = np.empty((bsz, groups, cout // groups, ho * wo), dtype=x4.dtype)
+    for ns, gs, cols in _patches(x4, k, groups):
+        np.matmul(gw[gs], cols, out=out[ns, gs])
+    return out.reshape(bsz, cout, ho, wo)
 
 
 def conv2d_valid(x, w, b, groups=1):
     """Valid cross-correlation plus bias, stride 1, input already padded.
 
     x (B, Cin, Hp, Wp); w (Cout, Cin/groups, K, K); b (Cout,).
-    Lowered to im2col plus matmul (_im2col_gemm) so the contraction over
-    the patch axis is a GEMM.  Under one OpenBLAS kernel and thread count
-    its bits do not move under column permutations of the spatial axis on
-    the grids the tests use, which makes pad+conv exactly roll-equivariant;
-    other kernels, such as Haswell, round some columns by their position.
+    Lowered to im2col plus matmul (_conv) so the contraction over the
+    patch axis is one GEMM per (sample, group).  Under one OpenBLAS kernel
+    and thread count its bits do not move under column permutations of
+    the spatial axis on the grids the tests use, which makes pad+conv
+    exactly roll-equivariant; other kernels, such as Haswell, round some
+    columns by their position.
+
+    The patch matrix is built one block at a time (_patches): whole
+    samples while one sample's matrix fits in _PATCH_BYTES, else a run of
+    one sample's groups.  Each GEMM still gets its (sample, group)
+    operands with the same shape and strides, so the block size cannot
+    move a bit; it bounds the memory.  No patch matrix outlives the
+    forward: dW builds the blocks again from the padded input, which the
+    graph holds anyway.
+
+    The kernel must reach matmul in a layout OpenBLAS takes: C-ordered,
+    or transposed as dx's 1x1 kernel is.  A kernel with negative strides,
+    such as a flipped view, makes matmul skip OpenBLAS for numpy's own
+    loop, which rounds differently: for a float32 depthwise 7x7 forward at
+    2x16x22x38, w and a strided view of the same values differ on 77% of
+    the outputs.  So the forward takes the parameter as it is, and dense
+    and grouped dx reshape their flipped kernel into a C-ordered copy.
 
     dx is the same contraction run on g zero-padded by K-1, against each
     group's kernel flipped in both spatial axes with its in and out
     channels swapped:
 
-        dx[b] = conv(pad(g[b], K-1), w.reshape(G, Cout/G, Cin/G, K, K)
-                     [..., ::-1, ::-1].transpose(0, 2, 1, 3, 4)
-                     .reshape(Cin, Cout/G, K, K), groups=G)
+        dx = conv(pad(g, K-1), w.reshape(G, Cout/G, Cin/G, K, K)
+                  [..., ::-1, ::-1].transpose(0, 2, 1, 3, 4)
+                  .reshape(Cin, Cout/G, K, K), groups=G)
 
-    so each dx element is one dot over (c_out, tap).  dx runs one sample
-    at a time: the patch matrix of the padded g holds Cout * K * K rows
-    of Hp * Wp, and building it for the whole batch at once raised
-    train_toy's peak RSS from 99.3 to 108.9 MB.  matmul runs one GEMM per
-    (sample, group) either way, so the bits do not depend on the loop.
+    so each dx element is one dot over (c_out, tap), for the whole batch
+    in one _conv.
 
     Depthwise dx (Cin/G = 1, Cout = G) is a tap loop instead, with no
     patch matrix and no BLAS: dx starts at +0, and for taps
     t = i*K + j = K*K-1 down to 0 the window dx[..., i:i+Ho, j:j+Wo]
     adds w[:, t] * g.  These are the bits of the formula above.  There
-    the flipped kernel is strided, so matmul runs numpy's own loop: each
-    element starts at +0 and adds each w*g product in flipped-tap order,
-    rounding each product and each add once.  The tap loop adds the same
-    products in the same order.  It skips only the products against the
-    zero padding, which are +-0, and adding +-0 to a sum that starts at
-    +0 never changes it.  The depthwise forward and dW still run through
-    BLAS (_im2col_gemm).
+    the flipped depthwise kernel reshapes to a strided view, so matmul
+    runs numpy's own loop: each element starts at +0 and adds each w*g
+    product in flipped-tap order, rounding each product and each add
+    once.  The tap loop adds the same products in the same order.  It
+    skips only the products against the zero padding, which are +-0, and
+    adding +-0 to a sum that starts at +0 never changes it.  A contiguous
+    copy of that kernel would go to OpenBLAS and move the bits, which is
+    why depthwise dx stays the tap loop.  The depthwise forward and dW
+    still run through BLAS.
     """
     _same_dtype(x, w, "conv2d_valid")
     _same_dtype(x, b, "conv2d_valid")
@@ -599,8 +667,8 @@ def conv2d_valid(x, w, b, groups=1):
     if b.data.shape != (cout,):
         raise ShapeError(f"conv2d_valid: bias shape {b.data.shape} != ({cout},)")
 
-    out, gcols = _im2col_gemm(xd, w.data, groups)
-    out_data = out + b.data.reshape(1, cout, 1, 1)
+    out_data = _conv(xd, w.data, groups)
+    out_data += b.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
         gmat = g.reshape(bsz, cout, -1)
@@ -608,7 +676,9 @@ def conv2d_valid(x, w, b, groups=1):
             _accumulate_samples(b, gmat.sum(axis=2))
         if w.requires_grad:
             gg = gmat.reshape(bsz, groups, cout // groups, -1)
-            per_sample = np.matmul(gg, gcols.transpose(0, 1, 3, 2))
+            per_sample = np.empty((bsz, groups, cout // groups, cin_g * k * k), dtype=xd.dtype)
+            for ns, gs, cols in _patches(xd, k, groups):
+                np.matmul(gg[ns, gs], cols.transpose(0, 1, 3, 2), out=per_sample[ns, gs])
             _accumulate_samples(w, per_sample.reshape((bsz,) + w.data.shape))
         if x.requires_grad and cin_g == 1 and cout == groups:
             taps = w.data.reshape(1, cout, k * k)
@@ -623,10 +693,7 @@ def conv2d_valid(x, w, b, groups=1):
                   .transpose(0, 2, 1, 3, 4).reshape(cin, cout // groups, k, k))
             gp = np.zeros((bsz, cout, hp + k - 1, wp + k - 1), dtype=g.dtype)
             gp[:, :, k - 1:hp, k - 1:wp] = g
-            dx = np.empty_like(xd)
-            for n in range(bsz):
-                dx[n] = _im2col_gemm(gp[n:n + 1], wf, groups)[0][0]
-            _accumulate(x, dx)
+            _accumulate(x, _conv(gp, wf, groups))
 
     return _make(out_data, (x, w, b), bwd, "conv2d_valid")
 

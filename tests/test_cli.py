@@ -5,9 +5,11 @@ import hashlib
 import importlib
 import os
 import pkgutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -988,6 +990,42 @@ class TestFailureFlagging:
         assert code == 2
         assert "holds a non-finite value" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["FAILED", "config.resolved"]
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_signal_mid_train_is_a_named_failure(self, tmp_path, signum):
+        # a child process, since the signal stops the whole process; the
+        # child starts with SIGINT at its default, which Python turns into
+        # KeyboardInterrupt, even where this process inherited it ignored
+        out = tmp_path / "tr"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "karina.cli", "train", "--out", str(out), *SMOKE,
+             "--set", "train.epochs=100000"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not (out / "config.resolved").exists():
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            time.sleep(0.5)  # well into the training loop
+            child.send_signal(signum)
+            _, err = child.communicate(timeout=120)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+        assert child.returncode == 2
+        assert err == "error: interrupted\n"
+        assert read_text(out / "FAILED") == "interrupted\n"
+        assert sorted(p.name for p in out.iterdir()) == ["FAILED", "config.resolved"]
+
+    def test_main_restores_the_sigterm_handler(self, tmp_path, capsys):
+        before = signal.getsignal(signal.SIGTERM)
+        assert run_train(tmp_path / "run") == 0
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 KARINA_MODULES = [importlib.import_module(f"karina.{info.name}")

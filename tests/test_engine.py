@@ -1,10 +1,12 @@
 """Engine ops against brute-force forward oracles and central differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from blas_helpers import run_per_core
 from karina import engine as E
 from karina.padding import PaddingMode, index_map
 
@@ -289,6 +291,112 @@ class TestConv:
             lambda: E.mean_all(E.gelu(E.conv2d_valid(x, w, b, groups=groups))),
             [x, w, b],
         )
+
+
+# (bsz, cin, cout, groups, k, hp, wp): dense 3x3, groups 2, depthwise 7x7
+# and 1x1 on small grids, then a depthwise 7x7 on the forecast grid, where
+# one sample's patch matrix (25 MB in float32) exceeds _PATCH_BYTES
+BLOCK_CASES = [(3, 8, 12, 1, 3, 12, 20), (2, 8, 6, 2, 3, 10, 14), (2, 16, 16, 16, 7, 22, 38),
+               (4, 16, 32, 1, 1, 16, 32), (1, 16, 16, 16, 7, 70, 134)]
+BLOCK_IDS = ["dense3", "groups2", "depthwise7", "pointwise", "depthwise7_forecast"]
+# every (sample, group) in a block of its own; the whole batch in one
+BUDGETS = (1, 1 << 62)
+
+
+def conv_case_bytes(case, dtype):
+    """Forward, dx, dW and db bytes of one conv2d_valid and its backward."""
+    bsz, cin, cout, groups, k, hp, wp = case
+    rng = np.random.default_rng(17)
+    x = E.Parameter(rng.standard_normal((bsz, cin, hp, wp)).astype(dtype), "x")
+    w = E.Parameter(rng.standard_normal((cout, cin // groups, k, k)).astype(dtype), "w")
+    b = E.Parameter(rng.standard_normal(cout).astype(dtype), "b")
+    y = E.conv2d_valid(x, w, b, groups=groups)
+    g = rng.standard_normal(y.shape).astype(dtype)
+    E.backward(E.sum_all(E.mul(y, E.Tensor(g))))
+    return tuple(a.tobytes() for a in (y.data, x.grad, w.grad, b.grad))
+
+
+def patch_blocks(case):
+    """How many blocks _patches builds for the case's input, in float32."""
+    bsz, cin, _, groups, k, hp, wp = case
+    return sum(1 for _ in E._patches(np.zeros((bsz, cin, hp, wp), np.float32), k, groups))
+
+
+BLOCKS_PER_CORE = """
+from test_engine import BLOCK_CASES, BUDGETS, conv_case_bytes
+from karina import engine as E
+import numpy as np
+default = E._PATCH_BYTES
+for case in BLOCK_CASES[:4]:
+    for dtype in (np.float32, np.float64):
+        E._PATCH_BYTES = default
+        want = conv_case_bytes(case, dtype)
+        same = []
+        for budget in BUDGETS:
+            E._PATCH_BYTES = budget
+            same.append(conv_case_bytes(case, dtype) == want)
+        print(all(same))
+"""
+
+
+class TestConvBlocks:
+    """The patch matrix is built one block at a time; the block size
+    bounds memory and moves no bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=BLOCK_IDS)
+    def test_block_size_moves_no_bit(self, monkeypatch, case, dtype):
+        want = conv_case_bytes(case, dtype)
+        for budget in BUDGETS:
+            monkeypatch.setattr(E, "_PATCH_BYTES", budget)
+            assert conv_case_bytes(case, dtype) == want
+
+    def test_budgets_split_as_stated(self, monkeypatch):
+        # 1x1 patches are a view of the input: one block whatever the budget
+        assert [patch_blocks(c) for c in BLOCK_CASES] == [1, 1, 2, 1, 16]
+        monkeypatch.setattr(E, "_PATCH_BYTES", BUDGETS[0])
+        assert [patch_blocks(c) for c in BLOCK_CASES] == [3, 4, 32, 1, 16]
+        monkeypatch.setattr(E, "_PATCH_BYTES", BUDGETS[1])
+        assert [patch_blocks(c) for c in BLOCK_CASES] == [1, 1, 1, 1, 1]
+
+    def test_block_size_moves_no_bit_on_every_blas_kernel(self):
+        runs = run_per_core(BLOCKS_PER_CORE)
+        if not runs:
+            pytest.skip("no OpenBLAS kernel of numpy's bundled library could be selected")
+        for core, out in runs.items():
+            assert out.split() == ["True"] * 8, core
+
+    def test_recorded_forward_holds_only_its_output(self):
+        rng = np.random.default_rng(3)
+        x = E.Parameter(rng.standard_normal((2, 16, 22, 38)).astype(np.float32), "x")
+        w = E.Parameter(rng.standard_normal((16, 1, 7, 7)).astype(np.float32), "w")
+        b = E.Parameter(rng.standard_normal(16).astype(np.float32), "b")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = E.conv2d_valid(x, w, b, groups=16)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        # the graph keeps x, which the caller holds anyway; beyond the
+        # output only the tensor and its closure (a few hundred bytes)
+        assert held <= y.data.nbytes + 4096, held
+
+    def test_inference_forward_peaks_within_the_budget(self):
+        rng = np.random.default_rng(4)
+        x = E.Tensor(rng.standard_normal((1, 16, 70, 134)).astype(np.float32))
+        w = E.Tensor(rng.standard_normal((16, 1, 7, 7)).astype(np.float32))
+        b = E.Tensor(rng.standard_normal(16).astype(np.float32))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with E.no_grad():
+                y = E.conv2d_valid(x, w, b, groups=16)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < y.data.nbytes + 2 * E._PATCH_BYTES, peak
 
 
 class TestPad2d:
