@@ -2,9 +2,9 @@
 
 Every operation builds a new Tensor carrying a closure that scatters the
 upstream gradient back to its parents.  backward() walks the recorded
-graph once in reverse topological order.  64-bit arrays are the
-verification dtype (finite differences behave), 32-bit the training
-dtype; ops never mix the two silently.
+graph once in reverse topological order, freeing it as it goes.  64-bit
+arrays are the verification dtype (finite differences behave), 32-bit
+the training dtype; ops never mix the two silently.
 
 Two properties the ops are written to preserve, because tests rely on
 them:
@@ -45,7 +45,7 @@ class NonFiniteError(EngineError):
 
 
 class BackwardError(EngineError):
-    """backward() misuse: non-scalar loss or an already-consumed graph."""
+    """backward() misuse: non-scalar loss, no recorded graph, or a consumed one."""
 
 
 _recording = True
@@ -78,7 +78,7 @@ def _same_dtype(a, b, op):
 class Tensor:
     """A dense array plus optional gradient bookkeeping."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op", "_spent")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -90,7 +90,6 @@ class Tensor:
         self._parents = ()
         self._backward_fn = None
         self._op = "leaf"
-        self._spent = False
 
     @property
     def shape(self):
@@ -156,22 +155,24 @@ def _make(out_data, parents, backward_fn, op):
     return out
 
 
+def _consumed(g):
+    raise BackwardError("backward() already consumed this graph; run a fresh forward pass first")
+
+
 def backward(loss):
-    """Run reverse-mode accumulation from a scalar loss.
+    """Run reverse-mode accumulation from a scalar loss, consuming its graph.
 
     Seeds d(loss)/d(loss) = 1 and calls each recorded closure once, in
     reverse topological order.  Grads add into .grad; leaves that cannot
-    reach the loss keep grad=None.  Calling twice on the same graph
-    raises unless gradients were rebuilt from a fresh forward pass.
+    reach the loss keep grad=None.  The walk consumes the graph: closures,
+    parent links and intermediate .grads are dropped as it goes, and only
+    leaf and loss grads survive.  A walk into a consumed node raises, as
+    does a loss with no recorded graph, a leaf included.
     """
     if loss.data.size != 1:
         raise BackwardError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
-    if not loss.requires_grad:
+    if loss._backward_fn is None:
         raise BackwardError("backward() on a tensor with no recorded graph")
-    if loss._spent:
-        raise BackwardError(
-            "backward() already consumed this graph; run a fresh forward pass first"
-        )
 
     topo = []
     seen = set()
@@ -186,19 +187,17 @@ def backward(loss):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if p._backward_fn is not None and id(p) not in seen:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward_fn is not None:
-            if node._spent:
-                raise BackwardError(
-                    "backward() already consumed this graph; run a fresh forward pass first"
-                )
-            node._backward_fn(node.grad)
-            node._spent = True
-    loss._spent = True
+    while topo:
+        node = topo.pop()
+        fn = node._backward_fn
+        node._backward_fn, node._parents = _consumed, ()
+        fn(node.grad)
+        if node is not loss:
+            node.grad = None
 
 
 def zero_grads(params):
@@ -273,11 +272,10 @@ def scale(a, c):
 
 def relu(a):
     out_data = np.maximum(a.data, 0)
-    mask = a.data > 0
 
     def bwd(g):
         if a.requires_grad:
-            _accumulate(a, g * mask)
+            _accumulate(a, g * (a.data > 0))
 
     return _make(out_data, (a,), bwd, "relu")
 
@@ -508,12 +506,12 @@ def pad2d(x, table):
     if zero_mask.any():
         out[:, zero_mask] = 0
     out_data = out.reshape(x.data.shape[:-2] + (hp, wp))
-    valid = np.flatnonzero(table >= 0)
-    src = table[valid]
 
     def bwd(g):
         if not x.requires_grad:
             return
+        valid = np.flatnonzero(table >= 0)
+        src = table[valid]
         gv = g.reshape(rows, hp * wp).take(valid, axis=1)
         dx = np.empty((rows, h * w), dtype=np.float64)
         for r in range(rows):

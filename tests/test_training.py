@@ -6,6 +6,10 @@ shows up as an exact mismatch in 64-bit.
 """
 
 import math
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -379,23 +383,62 @@ class TestTrainLoop:
     def test_bench_step_keeps_every_array_c_ordered(self, monkeypatch):
         # the BENCH step: batch 4 on the 16x32 grid, four channels, the
         # default stage dims 8,16 and depths 1,1
-        made = []
-        make = E._make
+        # backward frees each intermediate grad once its closure has run,
+        # so those are checked as _accumulate writes them
+        make, accumulate = E._make, E._accumulate
+        written = []
 
-        def spy(out_data, parents, backward_fn, op):
+        def spy_make(out_data, parents, backward_fn, op):
             assert out_data.flags.c_contiguous, f"{op} output strides {out_data.strides}"
-            made.append(make(out_data, parents, backward_fn, op))
-            return made[-1]
+            return make(out_data, parents, backward_fn, op)
 
-        monkeypatch.setattr(E, "_make", spy)
+        def spy_accumulate(t, g):
+            accumulate(t, g)
+            assert t.grad.flags.c_contiguous, f"{t!r} grad strides {t.grad.strides}"
+            written.append(t._op)
+
+        monkeypatch.setattr(E, "_make", spy_make)
+        monkeypatch.setattr(E, "_accumulate", spy_accumulate)
         model = M.build(tiny_config(in_channels=4, out_channels=4, stage_dims=(8, 16),
                                     depths=(1, 1)), seed=0)
         pairs = make_pairs(np.random.default_rng(22), 4, c=4, h=16, w=32)
         model.train()
         E.backward(T.l2_loss(model.forward(pairs.x), E.Tensor(pairs.y)))
-        for t in made + model.parameters():
-            if t.grad is not None:
-                assert t.grad.flags.c_contiguous, f"{t!r} grad strides {t.grad.strides}"
+        assert {"pad2d", "conv2d_valid", "gelu"} <= set(written)
+        for p in model.parameters():
+            if p.grad is not None:
+                assert p.grad.flags.c_contiguous, f"{p!r} grad strides {p.grad.strides}"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_train_steps_reuse_the_freed_heap():
+    # backward frees each step's graph as it walks it; under glibc's default
+    # trim policy each step then faulted 1,700 to 2,500 pages back in (its
+    # graph is 4.9 MiB, 1,257 pages).  A child process, since mallopt lasts
+    # for the whole process
+    code = """if True:
+        import resource
+        import numpy as np
+        from karina import engine as E, model as M, training as T
+        T._keep_freed_heap()
+        model = M.build(M.ModelConfig(in_channels=4, out_channels=4, stage_dims=(8, 16),
+                                      depths=(1, 1)), seed=0)
+        model.train()
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((4, 4, 16, 32)).astype(np.float32)
+        y = E.Tensor(rng.standard_normal((4, 4, 16, 32)).astype(np.float32))
+        for step in range(30):
+            if step == 10:
+                start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            E.zero_grads(model.parameters())
+            E.backward(T.l2_loss(model.forward(x), y))
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 20)
+    """
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 126, done.stdout
 
 
 class FakeLagSource:
