@@ -519,11 +519,11 @@ def cmd_evaluate(cfg, out_dir):
     write_csv(os.path.join(out_dir, "rmse_by_lead.csv"), ("lead_days", *channels),
               [(L, *(rmse[name, L] for name in channels)) for L in leads])
     acc_note = "with acc" if any(row[2] == "acc" for row in rows) else "acc skipped"
-    lead1 = [rmse[name, leads[0]] for name in channels]
+    first = [rmse[name, leads[0]] for name in channels]
     print(
         f"scored {mode} over {bundle.test.n_time - max(leads)} init dates at leads "
         f"{','.join(str(l) for l in leads)} ({acc_note}); "
-        f"lead-1 mean rmse {float(np.mean(lead1)):.6g}"
+        f"lead-{leads[0]} mean rmse {float(np.mean(first)):.6g}"
     )
     return 0
 
@@ -563,7 +563,7 @@ def cmd_rollout(cfg, out_dir):
         )
     print(
         f"rolled out {series.horizon_done} steps from day {bundle.gf.dates[idx]} "
-        f"into {forecast.n_time} file(s); model {series.checkpoint_id}"
+        f"into {forecast.n_time} file(s); model {model_fingerprint(model)}"
     )
     return 0
 

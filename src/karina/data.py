@@ -27,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from karina.files import CSV_UNSAFE, RecordReader, atomic_open, write_str, write_u32
-from karina.metrics import spatial_mean
+from karina.metrics import PERIOD_DAYS, spatial_mean
 from karina.padding import GridSpec
 
 GRID_MAGIC = b"GFLD"
 GRID_VERSION = 1
-YEAR_DAYS = 365.25
 
 
 class DataError(Exception):
@@ -339,10 +338,10 @@ class SyntheticField:
         return out
 
     def seasonal_value(self, t):
-        doy = (self.spec.start_day + t) % YEAR_DAYS
+        doy = (self.spec.start_day + t) % PERIOD_DAYS
         total = 0.0
         for k, (a, b) in enumerate(SEAS_COEFFS, start=1):
-            ang = 2.0 * math.pi * k * doy / YEAR_DAYS
+            ang = 2.0 * math.pi * k * doy / PERIOD_DAYS
             total += a * math.cos(ang) + b * math.sin(ang)
         return total
 

@@ -63,6 +63,11 @@ def no_grad():
         _recording = prev
 
 
+def recording():
+    """True unless inside no_grad: an op now records its graph."""
+    return _recording
+
+
 def _check_finite(arr, op):
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"non-finite values in output of {op}")

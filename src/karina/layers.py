@@ -120,21 +120,15 @@ class SEBlock(Module):
         return engine.channel_scale(x, gates)
 
 
-def drop_path(x, residual, rate, train, rng=None):
+def drop_path(x, residual, factors=None):
     """Residual add with stochastic depth, for (B, C, H, W) tensors.
 
-    Training: each sample keeps the residual with probability 1 - rate,
-    scaled by 1/(1 - rate) so the expectation is unchanged.  Inference
-    adds the residual as-is.
+    factors, when given, is the (B,) row KarinaModel.forward drew for
+    this block: 0 drops a sample's residual, 1/(1 - rate) keeps it with
+    the expectation unchanged.  Without it the residual is added as-is.
     """
-    if not 0.0 <= rate < 1.0:
-        raise LayerError(f"drop path rate must sit in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if factors is None:
         return engine.add(x, residual)
-    if rng is None:
-        raise LayerError("drop path in training mode needs an rng")
-    keep = 1.0 - rate
-    factors = (rng.random(residual.data.shape[0]) >= rate).astype(residual.data.dtype) / keep
     return engine.add(x, engine.sample_scale(residual, factors))
 
 
@@ -144,11 +138,10 @@ class ConvNextBlock(Module):
     stochastic depth."""
 
     def __init__(self, dim, *, kernel=7, se_enabled=True, reduction=4,
-                 layer_scale_init=1e-6, drop_path_rate=0.0,
+                 layer_scale_init=1e-6,
                  padding_mode=PaddingMode.GEOCYCLIC, rng=None, dtype=np.float32):
         if rng is None:
             rng = np.random.default_rng(0)
-        self.drop_path_rate = float(drop_path_rate)
         self.dwconv = Conv2d(dim, dim, kernel, groups=dim,
                              padding_mode=padding_mode, rng=rng, dtype=dtype)
         self.se = SEBlock(dim, reduction, rng=rng, dtype=dtype) if se_enabled else None
@@ -160,7 +153,7 @@ class ConvNextBlock(Module):
         self.gamma = engine.Parameter(
             np.full(dim, layer_scale_init, dtype=dtype), "gamma")
 
-    def __call__(self, x, train=False, rng=None):
+    def __call__(self, x, factors=None):
         t = self.dwconv(x)
         if self.se is not None:
             t = self.se(t)
@@ -169,7 +162,7 @@ class ConvNextBlock(Module):
         t = engine.gelu(t)
         t = self.pwconv2(t)
         t = engine.channel_scale(t, self.gamma)
-        return drop_path(x, t, self.drop_path_rate, train, rng)
+        return drop_path(x, t, factors)
 
 
 class DepthScale(Module):

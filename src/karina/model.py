@@ -14,7 +14,6 @@ parameters by name, so a checkpoint is self-describing.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +110,6 @@ class KarinaModel(Module):
     def __init__(self, config, seed=0, dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype).type
-        self.mode = "train"
         mode = PaddingMode.parse(config.padding_mode)
         rng = np.random.default_rng([int(seed), 0])
         self._droppath_rng = np.random.default_rng([int(seed), 1])
@@ -130,7 +128,6 @@ class KarinaModel(Module):
                     se_enabled=config.se_enabled,
                     reduction=config.reduction_ratio,
                     layer_scale_init=config.layer_scale_init,
-                    drop_path_rate=config.drop_path_rate,
                     padding_mode=mode,
                     rng=rng,
                     dtype=dtype,
@@ -144,19 +141,20 @@ class KarinaModel(Module):
         self.head = Conv2d(dims[-1], config.out_channels, 1, padding_mode=mode, rng=rng, dtype=dtype)
         self.assign_names()
 
-    def train(self):
-        self.mode = "train"
-        return self
-
-    def eval(self):
-        self.mode = "eval"
-        return self
+    @property
+    def mode(self):
+        """'train' when the engine records (a training forward), else 'eval'."""
+        return "train" if engine.recording() else "eval"
 
     def param_count(self):
         return sum(p.data.size for p in self.parameters())
 
     def forward(self, x):
-        """Forecast for a (B, C, H, W) numpy array, cast to the model dtype."""
+        """Forecast for a (B, C, H, W) numpy array, cast to the model dtype.
+
+        A forward the engine records trains: above drop_path_rate 0 it
+        draws every block's per-sample drop factors, one row per block.
+        """
         x = engine.Tensor(np.asarray(x, dtype=self.dtype))
         if x.data.ndim != 4:
             raise ModelError(f"input must be (B,C,H,W), got {x.data.shape}")
@@ -164,17 +162,21 @@ class KarinaModel(Module):
             raise ModelError(
                 f"input has {x.data.shape[-3]} channels, model expects {self.config.in_channels}"
             )
-        train = self.mode == "train"
-        ctx = nullcontext() if train else engine.no_grad()
-        with ctx:
-            t = self.stem(x)
-            for stage in self.stages:
-                if stage.transition is not None:
-                    t = stage.transition(t)
-                for block in stage.blocks:
-                    t = block(t, train=train, rng=self._droppath_rng)
-            t = self.final(t)
-            t = self.head(t)
+        n_blocks = sum(self.config.depths)
+        rate = self.config.drop_path_rate
+        factors = [None] * n_blocks
+        if rate > 0.0 and engine.recording():
+            keep = self._droppath_rng.random((n_blocks, x.data.shape[0])) >= rate
+            factors = keep.astype(self.dtype) / (1.0 - rate)
+        rows = iter(factors)
+        t = self.stem(x)
+        for stage in self.stages:
+            if stage.transition is not None:
+                t = stage.transition(t)
+            for block in stage.blocks:
+                t = block(t, next(rows))
+        t = self.final(t)
+        t = self.head(t)
         return t
 
     __call__ = forward

@@ -45,7 +45,6 @@ class ForecastSeries:
     init_date: float
     steps: np.ndarray              # (lead, channel, lat, lon), denormalized
     channels: tuple
-    checkpoint_id: str
     final_state: np.ndarray        # last normalized state, for chaining
     step_means: np.ndarray         # (lead, channel), normalized space
     step_stds: np.ndarray
@@ -101,14 +100,12 @@ def rollout(model, init_state, horizon, stats, static_mask=None, init_date=0.0,
 
     grid = GridSpec.from_shape(init_state.shape[1], init_state.shape[2])
     w = latitude_weights(grid)[None, :, None]
-    training = model.mode == "train"
-    model.eval()
 
     steps = []
     means, stds, mins, maxs = [], [], [], []
     state = init_state.copy()
     blowup = None
-    try:
+    with engine.no_grad():
         for k in range(horizon):
             try:
                 out = model.forward(state[None])
@@ -133,16 +130,12 @@ def rollout(model, init_state, horizon, stats, static_mask=None, init_date=0.0,
             stds.append(std)
             mins.append(x.min(axis=(-2, -1)))
             maxs.append(x.max(axis=(-2, -1)))
-    finally:
-        if training:
-            model.train()
 
     shape = (len(steps), c, init_state.shape[1], init_state.shape[2])
     return ForecastSeries(
         init_date=float(init_date),
         steps=np.array(steps, dtype=np.float32).reshape(shape),
         channels=tuple(stats.channels),
-        checkpoint_id=model_fingerprint(model),
         final_state=state,
         step_means=np.array(means).reshape(len(steps), c),
         step_stds=np.array(stds).reshape(len(steps), c),

@@ -181,22 +181,18 @@ def _epoch_lr(cfg, epoch):
 
 
 def evaluate_loss(model, pairs, batch_size=16, weights=None):
-    """Mean l2 over a pair set in inference mode."""
+    """Mean l2 over a pair set, under engine.no_grad (inference)."""
     n = pairs.x.shape[0]
     if n == 0:
         raise TrainingError("empty evaluation set")
-    prev = model.mode
-    model.eval()
     total = 0.0
-    try:
+    with engine.no_grad():
         for start in range(0, n, batch_size):
             xb = pairs.x[start:start + batch_size]
             yb = pairs.y[start:start + batch_size]
             out = model.forward(xb)
             loss = l2_loss(out, engine.Tensor(yb), weights)
             total += loss.item() * xb.shape[0]
-    finally:
-        model.mode = prev
     return total / n
 
 
@@ -233,7 +229,6 @@ def train(model, pairs, cfg, val_pairs=None, loss_weights=None):
     for epoch in range(cfg.epochs):
         lr = _epoch_lr(cfg, epoch)
         order = rng.permutation(n)
-        model.train()
         loss_sum = 0.0
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]

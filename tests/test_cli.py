@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import karina
-from karina import cli, data, model, rollout, training
+from karina import cli, data, engine, model, rollout, training
 from karina.cli import CliError
 from test_data import zero_extent_grid
 from test_model import flip_first_extent_bit
@@ -249,6 +249,25 @@ class TestTrainCommand:
         last = read_text(out / "train_report.csv").strip().splitlines()[-1]
         assert last.split(",")[4] != ""
 
+    @pytest.mark.parametrize("rate,digest", [
+        (0.1, "8977280878cde3e93793435df2535cc6d8c92c62d770c708e30418b648bf8491"),
+        (0.4, "99328245272c3075cf9827004fb1f06b881ddd001b35e3939eaa6be24abd466e"),
+    ], ids=["rate0.1", "rate0.4"])
+    def test_drop_path_checkpoint_bits_pinned(self, tmp_path, rate, digest):
+        # three blocks over two stages; the validation split runs
+        # evaluate_loss between epochs, which must draw no factors
+        out = tmp_path / "run"
+        code = cli.main([
+            "train", "--seed", "3", "--out", str(out),
+            "--set", "model.stage_dims=4,8", "--set", "model.depths=2,1",
+            "--set", "synth.n_lat=8", "--set", "synth.n_lon=16",
+            "--set", "data.train_days=16", "--set", "data.val_days=6",
+            "--set", "data.test_days=4", "--set", "train.epochs=2",
+            "--set", "train.batch_size=4", "--set", f"model.drop_path_rate={rate}",
+        ])
+        assert code == 0
+        assert file_hash(out / "checkpoint.krna") == digest
+
     def test_missing_data_path_names_key(self, tmp_path, capsys):
         code = run_train(tmp_path / "run", "--set", "data.path=/nowhere/x.grid")
         assert code == 1
@@ -376,6 +395,16 @@ class TestEvaluateCommand:
         assert err.startswith("config error:")
         assert "eval.harmonics" in err
         assert list(out.iterdir()) == []   # no config.resolved
+
+    def test_summary_names_the_first_lead(self, tmp_path, capsys):
+        out = tmp_path / "ev"
+        code = cli.main(["evaluate", "--out", str(out), *SMOKE,
+                         "--set", "eval.leads=3,5", "--set", "eval.model=persistence"])
+        assert code == 0
+        row = read_text(out / "rmse_by_lead.csv").strip().splitlines()[1].split(",")
+        assert row[0] == "3"
+        mean = float(np.mean([float(v) for v in row[1:]]))
+        assert capsys.readouterr().out.rstrip().endswith(f"; lead-3 mean rmse {mean:.6g}")
 
     def test_row_count_covers_every_channel(self, tmp_path):
         """channels x leads x 2 rows when every channel has anomalies."""
@@ -900,8 +929,9 @@ class TestBooleanKeys:
                          *extra) == 0
         bundle = bundle_of(out)
         pairs = data.FileSource(bundle.train, bundle.stats).pairs()
-        net = model.load_checkpoint(str(out / "checkpoint.krna")).eval()
-        return (net.forward(pairs.x).data.astype(np.float64) - pairs.y) ** 2, bundle
+        with engine.no_grad():
+            pred = model.load_checkpoint(str(out / "checkpoint.krna")).forward(pairs.x).data
+        return (pred.astype(np.float64) - pairs.y) ** 2, bundle
 
     def test_lat_weighted_loss(self, tmp_path):
         out = tmp_path / "run"

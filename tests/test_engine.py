@@ -539,7 +539,6 @@ class TestBackwardSemantics:
         # plus a gradient for each of its nodes (2.1x the graph when it did)
         model = M.build(M.ModelConfig(in_channels=4, out_channels=4, stage_dims=(8, 16),
                                       depths=(1, 1)), seed=0)
-        model.train()
         x = self.rng.standard_normal((4, 4, 16, 32)).astype(np.float32)
         y = E.Tensor(self.rng.standard_normal((4, 4, 16, 32)).astype(np.float32))
         tracemalloc.start()

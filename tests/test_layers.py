@@ -1,12 +1,15 @@
 """Layer forward passes against numpy oracles; exact roll equivariance."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from karina import engine as E
 from karina import layers as L
+from karina import model as M
 from karina.padding import PaddingMode
 
 
@@ -142,55 +145,79 @@ class TestSEBlock:
         assert E.grad_check(fn, params, h=1e-5) < 1e-4
 
 
+def drop_model(rate, depth=2):
+    """One float64 stage of `depth` blocks over 2 channels on a 4x8 grid."""
+    cfg = M.ModelConfig(in_channels=2, out_channels=2, stage_dims=(4,),
+                        depths=(depth,), reduction_ratio=2, drop_path_rate=rate)
+    return M.build(cfg, seed=5, dtype=np.float64)
+
+
+def spy_drop_path(monkeypatch):
+    """Record (x, residual, factors, output) arrays of every drop_path call."""
+    calls = []
+    real = L.drop_path
+
+    def spy(x, residual, factors=None):
+        out = real(x, residual, factors)
+        calls.append((x.data, residual.data, factors, out.data))
+        return out
+
+    monkeypatch.setattr(L, "drop_path", spy)
+    return calls
+
+
 class TestDropPath:
+    """Stochastic depth as the model runs it: KarinaModel.forward draws
+    each block's (B,) factors and drop_path scales the residual by them."""
+
     def setup_method(self):
         self.rng = np.random.default_rng(313)
 
-    def test_eval_is_plain_residual_add(self):
-        x = E.Tensor(self.rng.standard_normal((2, 3, 4, 4)))
-        r = E.Tensor(self.rng.standard_normal((2, 3, 4, 4)))
-        out = L.drop_path(x, r, 0.5, train=False)
-        assert np.array_equal(out.data, x.data + r.data)
+    def test_eval_is_plain_residual_add(self, monkeypatch):
+        calls = spy_drop_path(monkeypatch)
+        with E.no_grad():
+            drop_model(0.5)(self.rng.standard_normal((3, 2, 4, 8)))
+        assert len(calls) == 2
+        for x, r, factors, out in calls:
+            assert factors is None
+            assert np.array_equal(out, x + r)
 
-    def test_rate_zero_never_drops(self):
-        x = E.Tensor(self.rng.standard_normal((2, 3, 4, 4)))
-        r = E.Tensor(self.rng.standard_normal((2, 3, 4, 4)))
-        out = L.drop_path(x, r, 0.0, train=True, rng=self.rng)
-        assert np.array_equal(out.data, x.data + r.data)
+    def test_rate_zero_never_drops(self, monkeypatch):
+        calls = spy_drop_path(monkeypatch)
+        m = drop_model(0.0)
+        before = m._droppath_rng.bit_generator.state
+        m(self.rng.standard_normal((3, 2, 4, 8)))
+        assert m._droppath_rng.bit_generator.state == before
+        assert len(calls) == 2
+        for x, r, factors, out in calls:
+            assert factors is None
+            assert np.array_equal(out, x + r)
 
-    def test_training_drops_whole_samples_with_compensation(self):
+    def test_training_drops_whole_samples_with_compensation(self, monkeypatch):
         rate = 0.4
-        x = E.Tensor(np.zeros((400, 1, 2, 2)))
-        r = E.Tensor(np.ones((400, 1, 2, 2)))
-        out = L.drop_path(x, r, rate, train=True, rng=self.rng).data
-        per_sample = out.reshape(400, -1)
-        kept = per_sample[:, 0] != 0
-        # surviving samples are scaled by exactly 1/(1-rate)
-        assert np.allclose(per_sample[kept], 1.0 / (1.0 - rate))
-        assert np.all(per_sample[~kept] == 0)
-        # whole-sample decision: constant within each sample
-        assert np.all(per_sample.min(axis=1) == per_sample.max(axis=1))
-        assert 0.45 < kept.mean() < 0.75
+        calls = spy_drop_path(monkeypatch)
+        drop_model(rate)(self.rng.standard_normal((400, 2, 4, 8)))
+        assert len(calls) == 2
+        for x, r, factors, out in calls:
+            kept = factors != 0
+            # surviving samples are scaled by exactly 1/(1-rate)
+            assert np.all(factors[kept] == 1.0 / (1.0 - rate))
+            # whole-sample decision: a dropped sample passes its input through
+            assert np.array_equal(out[~kept], x[~kept])
+            assert np.array_equal(out[kept], x[kept] + r[kept] * factors[kept, None, None, None])
+            assert 0.45 < kept.mean() < 0.75
+        # each block gets its own row of the draw
+        assert not np.array_equal(calls[0][2], calls[1][2])
 
-    def test_expectation_preserved(self):
-        rate = 0.3
-        draws = []
-        rng = np.random.default_rng(99)
-        r = E.Tensor(np.ones((50, 1, 1, 1)))
-        x = E.Tensor(np.zeros((50, 1, 1, 1)))
-        for _ in range(200):
-            draws.append(L.drop_path(x, r, rate, train=True, rng=rng).data.mean())
-        assert abs(np.mean(draws) - 1.0) < 0.02
-
-    def test_bad_rate_rejected(self):
-        x = E.Tensor(np.zeros((1, 1, 2, 2)))
-        with pytest.raises(L.LayerError):
-            L.drop_path(x, x, 1.0, train=True, rng=self.rng)
-
-    def test_training_without_rng_rejected(self):
-        x = E.Tensor(np.zeros((1, 1, 2, 2)))
-        with pytest.raises(L.LayerError):
-            L.drop_path(x, x, 0.5, train=True)
+    def test_expectation_preserved(self, monkeypatch):
+        calls = spy_drop_path(monkeypatch)
+        m = drop_model(0.3, depth=4)
+        x = np.zeros((50, 2, 4, 8))
+        for _ in range(50):
+            m(x)
+        factors = np.concatenate([f for _, _, f, _ in calls])
+        assert factors.size == 50 * 4 * 50
+        assert abs(factors.mean() - 1.0) < 0.02
 
 
 def numpy_block_forward(block, x):
@@ -278,6 +305,19 @@ class TestConvNextBlock:
         assert E.grad_check(fn, block.parameters(), h=1e-5) < 1e-4
 
 
+    def test_rerun_with_the_same_factors_is_bit_identical(self):
+        # recomputing a block in the backward relies on this: the output
+        # depends only on the input, the parameters and the factors
+        block = L.ConvNextBlock(4, kernel=3, reduction=2, layer_scale_init=0.5,
+                                rng=self.rng)
+        x = self.rng.standard_normal((3, 4, 4, 6)).astype(np.float32)
+        factors = np.array([0.0, 1.0 / 0.9, 1.0 / 0.9], dtype=np.float32)
+        first = block(E.Tensor(x), factors).data.copy()
+        again = block(E.Tensor(x.copy()), factors.copy()).data
+        assert first.tobytes() == again.tobytes()
+        assert np.array_equal(first[0], x[0])
+
+
 class TestDepthScale:
     def test_normalize_then_widen(self):
         rng = np.random.default_rng(337)
@@ -341,3 +381,68 @@ class TestExactRollEquivariance:
             for s in range(1, 8)
         )
         assert broken > 0
+
+
+SRC = Path(L.__file__).parent
+GENERATOR_METHODS = frozenset(n for n in dir(np.random.Generator) if not n.startswith("_"))
+
+
+def forward_draws(source):
+    """Line numbers where a function of a layers module, other than the
+    initialisers __init__ and trunc_normal, takes an rng or calls a
+    numpy Generator method."""
+    hits = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef) or fn.name in ("__init__", "trunc_normal"):
+            continue
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if any(a.arg == "rng" for a in args):
+            hits.append(fn.lineno)
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in GENERATOR_METHODS):
+                hits.append(node.lineno)
+    return sorted(set(hits))
+
+
+def droppath_rng_reads(source):
+    """Line numbers that name _droppath_rng outside KarinaModel.__init__
+    and KarinaModel.forward."""
+    tree = ast.parse(source)
+    allowed = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "KarinaModel":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "forward"):
+                    allowed |= {id(node) for node in ast.walk(fn)}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if id(node) not in allowed
+        and (isinstance(node, ast.Attribute) and node.attr == "_droppath_rng"
+             or isinstance(node, ast.Constant) and node.value == "_droppath_rng")
+    )
+
+
+def test_draw_guards_see_rngs_generator_calls_and_stray_reads():
+    layers_src = ("class A:\n"
+                  "    def __init__(self, rng):\n        rng.random(3)\n"
+                  "    def __call__(self, x, rng=None):\n        return x\n"
+                  "    def __call__(self, x):\n        return self.g.standard_normal(2)\n"
+                  "def drop(x, *, rng):\n    return x\n"
+                  "def trunc_normal(rng, shape):\n    return rng.standard_normal(shape)\n"
+                  "def add(x, r):\n    return engine.add(x, self.norm.beta)\n")
+    assert forward_draws(layers_src) == [4, 7, 8]
+    model_src = ("class KarinaModel:\n"
+                 "    def __init__(self):\n        self._droppath_rng = 1\n"
+                 "    def forward(self, x):\n        return self._droppath_rng\n"
+                 "    def other(self):\n        return self._droppath_rng\n"
+                 "def peek(m):\n    return getattr(m, '_droppath_rng')\n"
+                 "m._droppath_rng.random(2)\n")
+    assert droppath_rng_reads(model_src) == [7, 9, 10]
+
+
+def test_blocks_draw_no_random_numbers():
+    # a block's output depends only on its input, parameters and drop
+    # factors; KarinaModel.forward alone draws from _droppath_rng
+    assert forward_draws((SRC / "layers.py").read_text(encoding="utf-8")) == []
+    assert droppath_rng_reads((SRC / "model.py").read_text(encoding="utf-8")) == []

@@ -169,7 +169,7 @@ class TestBuild:
 class TestForward:
     def setup_method(self):
         self.rng = np.random.default_rng(443)
-        self.model = build(toy_config(), seed=7).eval()
+        self.model = build(toy_config(), seed=7)
 
     def test_output_shape(self):
         x = self.rng.standard_normal((2, 4, 8, 16)).astype(np.float32)
@@ -189,39 +189,67 @@ class TestForward:
 
     def test_eval_mode_records_no_graph(self):
         x = self.rng.standard_normal((1, 4, 8, 16)).astype(np.float32)
-        y = self.model.eval().forward(x)
+        with E.no_grad():
+            assert self.model.mode == "eval"
+            y = self.model.forward(x)
         assert not y.requires_grad
 
     def test_train_mode_records(self):
         x = self.rng.standard_normal((1, 4, 8, 16)).astype(np.float32)
-        y = self.model.train().forward(x)
-        self.model.eval()
+        assert self.model.mode == "train"
+        y = self.model.forward(x)
         assert y.requires_grad
 
     def test_forward_deterministic_in_eval(self):
         x = self.rng.standard_normal((1, 4, 8, 16)).astype(np.float32)
-        a = self.model.forward(x).data
-        b = self.model.forward(x).data
+        with E.no_grad():
+            a = self.model.forward(x).data
+            b = self.model.forward(x).data
         assert np.array_equal(a, b)
+
+
+class TestDropPathDraw:
+    """A recorded forward draws the whole step's drop factors at once;
+    inference draws none."""
+
+    def test_recorded_forward_draws_blocks_times_batch(self):
+        m = build(toy_config(depths=(2, 1), drop_path_rate=0.1), seed=3)
+        x = np.random.default_rng(7).standard_normal((3, 4, 8, 16)).astype(np.float32)
+        before = m._droppath_rng.bit_generator.state
+        m.forward(x)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = before
+        replay.random(sum(m.config.depths) * x.shape[0])   # 3 blocks x batch 3
+        assert m._droppath_rng.bit_generator.state == replay.bit_generator.state
+
+    def test_no_grad_forward_draws_nothing(self):
+        m = build(toy_config(depths=(2, 1), drop_path_rate=0.1), seed=3)
+        x = np.random.default_rng(7).standard_normal((3, 4, 8, 16)).astype(np.float32)
+        before = m._droppath_rng.bit_generator.state
+        with E.no_grad():
+            m.forward(x)
+        assert m._droppath_rng.bit_generator.state == before
 
 
 class TestWholeModelRollEquivariance:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_shift_bit_exact(self, dtype):
-        m = build(toy_config(), seed=5, dtype=dtype).eval()
+        m = build(toy_config(), seed=5, dtype=dtype)
         rng = np.random.default_rng(19)
         x = rng.standard_normal((1, 4, 8, 16)).astype(dtype)
-        base = m.forward(x).data
-        for s in range(16):
-            rolled = m.forward(np.roll(x, s, axis=-1)).data
-            assert np.array_equal(rolled, np.roll(base, s, axis=-1)), f"shift {s}"
+        with E.no_grad():
+            base = m.forward(x).data
+            for s in range(16):
+                rolled = m.forward(np.roll(x, s, axis=-1)).data
+                assert np.array_equal(rolled, np.roll(base, s, axis=-1)), f"shift {s}"
 
     def test_zero_padding_model_is_not_equivariant(self):
-        m = build(toy_config(padding_mode="zero"), seed=5).eval()
+        m = build(toy_config(padding_mode="zero"), seed=5)
         rng = np.random.default_rng(19)
         x = rng.standard_normal((1, 4, 8, 16)).astype(np.float32)
-        base = m.forward(x).data
-        rolled = m.forward(np.roll(x, 3, axis=-1)).data
+        with E.no_grad():
+            base = m.forward(x).data
+            rolled = m.forward(np.roll(x, 3, axis=-1)).data
         assert not np.array_equal(rolled, np.roll(base, 3, axis=-1))
 
 

@@ -33,16 +33,8 @@ def tiny_model(seed=0):
 class Gain:
     """Fake stepper multiplying the state by a fixed factor."""
 
-    mode = "eval"
-
     def __init__(self, factor):
         self.factor = np.float32(factor)
-
-    def eval(self):
-        pass
-
-    def parameters(self):
-        return []
 
     def forward(self, x):
         return E.Tensor(np.asarray(x, dtype=np.float32) * self.factor)
@@ -50,14 +42,6 @@ class Gain:
 
 class Constant:
     """Fake stepper always forecasting zero in normalized space."""
-
-    mode = "eval"
-
-    def eval(self):
-        pass
-
-    def parameters(self):
-        return []
 
     def forward(self, x):
         return E.Tensor(np.zeros_like(np.asarray(x, dtype=np.float32)))
@@ -68,8 +52,8 @@ class TestRolloutBasics:
         gf, stats, init = setup_world()
         model = tiny_model()
         series = R.rollout(model, init, 1, stats)
-        model.eval()
-        want = D.denormalize(model.forward(init[None]).data[0], stats)
+        with E.no_grad():
+            want = D.denormalize(model.forward(init[None]).data[0], stats)
         assert series.steps.shape == (1, 4, 12, 24)
         assert series.steps[0].tobytes() == want.astype(np.float32).tobytes()
 
@@ -98,13 +82,18 @@ class TestRolloutBasics:
         series = R.rollout(tiny_model(), init, 3, stats)
         assert not np.array_equal(series.steps[0, 0], series.steps[1, 0])
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_restores_model_mode(self, mode):
+    def test_steps_record_no_graph(self):
         gf, stats, init = setup_world()
-        model = tiny_model()
-        model.mode = mode
-        R.rollout(model, init, 2, stats)
-        assert model.mode == mode
+        seen = []
+
+        class Recorder(Gain):
+            def forward(self, x):
+                seen.append(E.recording())
+                return super().forward(x)
+
+        R.rollout(Recorder(1.0), init, 2, stats)
+        assert seen == [False, False]
+        assert E.recording()
 
     def test_validation_errors(self):
         gf, stats, init = setup_world()

@@ -343,7 +343,6 @@ class TestTrainLoop:
         x = rng.standard_normal((4, 2, 8, 16)).astype(np.float32)
         y = rng.standard_normal((4, 2, 8, 16)).astype(np.float32)
 
-        model.train()
         E.zero_grads(params)
         E.backward(T.l2_loss(model.forward(x), E.Tensor(y)))
         full = {p.name: p.grad.tobytes() for p in params}
@@ -402,7 +401,6 @@ class TestTrainLoop:
         model = M.build(tiny_config(in_channels=4, out_channels=4, stage_dims=(8, 16),
                                     depths=(1, 1)), seed=0)
         pairs = make_pairs(np.random.default_rng(22), 4, c=4, h=16, w=32)
-        model.train()
         E.backward(T.l2_loss(model.forward(pairs.x), E.Tensor(pairs.y)))
         assert {"pad2d", "conv2d_valid", "gelu"} <= set(written)
         for p in model.parameters():
@@ -423,7 +421,6 @@ def test_train_steps_reuse_the_freed_heap():
         T._keep_freed_heap()
         model = M.build(M.ModelConfig(in_channels=4, out_channels=4, stage_dims=(8, 16),
                                       depths=(1, 1)), seed=0)
-        model.train()
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 4, 16, 32)).astype(np.float32)
         y = E.Tensor(rng.standard_normal((4, 4, 16, 32)).astype(np.float32))
@@ -534,20 +531,28 @@ class TestEvaluateLoss:
     def test_matches_direct_forward(self):
         model = M.KarinaModel(tiny_config(), seed=17)
         pairs = make_pairs(np.random.default_rng(33), 3)
-        model.eval()
         per_sample = []
-        for k in range(3):
-            out = model.forward(pairs.x[k:k + 1])
-            per_sample.append(T.l2_loss(out, E.Tensor(pairs.y[k:k + 1])).item())
+        with E.no_grad():
+            for k in range(3):
+                out = model.forward(pairs.x[k:k + 1])
+                per_sample.append(T.l2_loss(out, E.Tensor(pairs.y[k:k + 1])).item())
         got = T.evaluate_loss(model, pairs, batch_size=1)
         assert got == pytest.approx(sum(per_sample) / 3, rel=1e-12)
 
-    def test_restores_training_mode(self):
+    def test_records_no_graph(self, monkeypatch):
         model = M.KarinaModel(tiny_config(), seed=18)
         pairs = make_pairs(np.random.default_rng(34), 2)
-        model.train()
-        T.evaluate_loss(model, pairs)
-        assert model.mode == "train"
+        seen = []
+        real = model.forward
+
+        def forward(x):
+            seen.append(E.recording())
+            return real(x)
+
+        monkeypatch.setattr(model, "forward", forward)
+        T.evaluate_loss(model, pairs, batch_size=1)
+        assert seen == [False, False]
+        assert E.recording()
 
     def test_empty_set_rejected(self):
         model = M.KarinaModel(tiny_config(), seed=19)
