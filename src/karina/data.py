@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -146,20 +147,56 @@ class NormStats:
             raise DataError("stats std must be positive")
 
 
+# float64 values in compute_norm_stats' one buffer (256 KiB); numpy sums a
+# run of at most _PAIRWISE_LEAF values with 8 accumulators, unsplit
+_STATS_BLOCK, _PAIRWISE_LEAF = 1 << 15, 128
+
+
+def _pairwise_sum(get, lo, n):
+    """numpy's float64 sum of the n values get(lo, n) returns: a run longer
+    than max(_STATS_BLOCK, _PAIRWISE_LEAF) splits as numpy's does, and a
+    shorter one goes to np.add.reduce."""
+    if n <= max(_STATS_BLOCK, _PAIRWISE_LEAF):
+        return np.add.reduce(get(lo, n))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(get, lo, half) + _pairwise_sum(get, lo + half, n - half)
+
+
+def _channel_block(buf, rows, i, n, center=None):
+    """Values i..i+n of the (t, h*w) float32 view `rows`, row-major, as
+    float64 in buf[:n]; given a center, (x - center)² in place."""
+    out, width = buf[:n], rows.shape[1]
+    t, j = divmod(i, width)
+    head = min(n, width - j)
+    full, tail = divmod(n - head, width)
+    out[:head] = rows[t, j:j + head]
+    out[head:n - tail].reshape(full, width)[...] = rows[t + 1:t + 1 + full]
+    if tail:
+        out[n - tail:] = rows[t + 1 + full, :tail]
+    if center is not None:
+        np.subtract(out, center, out=out)
+        np.multiply(out, out, out=out)
+    return out
+
+
 def compute_norm_stats(gf):
-    """Per-channel stats, one float64 channel at a time: min and max of the float32
-    channel (NaN reaches both, an infinity one), then np.mean's and np.std's sums."""
-    vals = gf.values
-    c = vals.shape[1]
+    """Per-channel stats: min and max of the float32 channel (NaN reaches
+    both, an infinity one), then np.mean's and np.std's bits over the
+    channel widened to float64, through one 256 KiB buffer.  The bits hold
+    because numpy sums a contiguous float64 run pairwise: a run of more
+    than 128 values splits at n // 2 rounded down to a multiple of 8, so
+    `_pairwise_sum` follows those splits down to one block and sums each."""
+    t, c, h, w = gf.values.shape
+    n, buf = t * h * w, np.empty(max(_STATS_BLOCK, _PAIRWISE_LEAF))
     lo, hi, mean, std = (np.empty(c) for _ in range(4))
     for k in range(c):
-        lo[k], hi[k] = vals[:, k].min(), vals[:, k].max()
+        rows = gf.values.reshape(t, c, h * w)[:, k]
+        lo[k], hi[k] = rows.min(), rows.max()
         if not (np.isfinite(lo[k]) and np.isfinite(hi[k])):
             raise DataError("training data contains non-finite values")
-        flat = vals[:, k].astype(np.float64).ravel()
-        mean[k] = flat.sum() / flat.size
-        np.subtract(flat, mean[k], out=flat)
-        std[k] = math.sqrt(np.multiply(flat, flat, out=flat).sum() / flat.size)
+        mean[k] = _pairwise_sum(partial(_channel_block, buf, rows), 0, n) / n
+        dev2 = partial(_channel_block, buf, rows, center=mean[k])
+        std[k] = math.sqrt(_pairwise_sum(dev2, 0, n) / n)
     constant = lo == hi
     mean[constant] = lo[constant]
     std[constant] = 1.0
@@ -178,27 +215,24 @@ def static_channel_mask(gf):
     ])
 
 
-def _check_channels(values, stats):
+def _channel_moments(values, stats):
+    """values as an array, and the stats' mean and std in its dtype, shaped
+    to broadcast over its (channel, lat, lon) axes."""
+    values = np.asarray(values)
     if values.shape[-3] != len(stats.channels):
-        raise DataError(
-            f"{values.shape[-3]} channels in data, stats cover {len(stats.channels)}"
-        )
+        raise DataError(f"{values.shape[-3]} channels in data, stats cover {len(stats.channels)}")
+    cast = (s.astype(values.dtype)[:, None, None] for s in (stats.mean, stats.std))
+    return values, *cast
 
 
 def normalize(values, stats):
     """(x - mean) / std per channel, in the array's own dtype."""
-    values = np.asarray(values)
-    _check_channels(values, stats)
-    mu = stats.mean.astype(values.dtype)[:, None, None]
-    sd = stats.std.astype(values.dtype)[:, None, None]
+    values, mu, sd = _channel_moments(values, stats)
     return (values - mu) / sd
 
 
 def denormalize(values, stats):
-    values = np.asarray(values)
-    _check_channels(values, stats)
-    mu = stats.mean.astype(values.dtype)[:, None, None]
-    sd = stats.std.astype(values.dtype)[:, None, None]
+    values, mu, sd = _channel_moments(values, stats)
     return values * sd + mu
 
 

@@ -715,7 +715,8 @@ def grad_check(fn, params, h=1e-5, rng=None, sample=None):
     All params must be float64 (32-bit finite differences are mush).
     h must sit in [1e-7, 1e-4].  sample, if given, caps the number of
     coordinates probed per parameter, drawn without replacement from
-    rng; coverage stays at least one coordinate per parameter.
+    rng; coverage stays at least one coordinate per parameter.  The
+    differences run unrecorded, so fn must not depend on recording.
     """
     params = list(params)
     if not params:
@@ -740,6 +741,8 @@ def grad_check(fn, params, h=1e-5, rng=None, sample=None):
 
     worst = 0.0
     with no_grad():
+        if fn().data.tobytes() != loss.data.tobytes():
+            raise EngineError("grad_check: fn gives another loss unrecorded; it must not depend on recording")
         for p, ga in zip(params, analytic):
             flat = p.data.reshape(-1)
             gflat = ga.reshape(-1)

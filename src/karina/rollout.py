@@ -68,7 +68,7 @@ class ForecastSeries:
         return GridFile(
             channels=self.channels,
             dates=np.uint32(round(self.init_date)) + leads,
-            values=self.steps.astype(np.float32),
+            values=np.asarray(self.steps, dtype=np.float32),
         )
 
 

@@ -19,7 +19,7 @@ import pytest
 import karina
 from karina import cli, data, engine, model, rollout, training
 from karina.cli import CliError
-from test_data import zero_extent_grid
+from test_data import traced_peak, zero_extent_grid
 from test_model import flip_first_extent_bit
 
 
@@ -565,6 +565,23 @@ class TestRolloutCommand:
             assert abs(np.sqrt(var) - float(std_s)) < 1e-5
             assert abs(z[c].min() - float(lo_s)) < 1e-5
             assert abs(z[c].max() - float(hi_s)) < 1e-5
+
+    def test_file_backed_run_holds_little_beside_the_payload(self, tmp_path):
+        # the norm stats reduce each channel through one small block, so
+        # reading the file is the command's only payload-sized allocation
+        ckpt = self.make_checkpoint(tmp_path)
+        world = tmp_path / "world.grid"
+        gf = data.generate_synthetic(data.SyntheticSpec(
+            n_days=200, seed=2, n_lat=32, n_lon=64, noise=0.05))
+        data.write_grid(gf, str(world))
+        payload = gf.values.nbytes
+        del gf
+        code, peak = traced_peak(cli.main, [
+            "rollout", "--out", str(tmp_path / "ro"), *SMOKE,
+            "--set", f"data.path={world}", "--set", "data.train_days=190",
+            "--set", f"rollout.checkpoint={ckpt}", "--set", "rollout.horizon=2"])
+        assert code == 0
+        assert peak < 1.5 * payload, peak / payload
 
     def test_init_day_out_of_range(self, tmp_path, capsys):
         ckpt = self.make_checkpoint(tmp_path)

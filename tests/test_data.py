@@ -313,7 +313,11 @@ class TestNormalization:
         assert D.normalize(gf.values, stats).dtype == np.float32
         assert D.normalize(gf.values.astype(np.float64), stats).dtype == np.float64
 
-    @pytest.mark.parametrize("shape", [(40, 4, 12, 24), (7, 3, 5, 10), (731, 2, 3, 7), (1, 1, 1, 2)])
+    @pytest.mark.parametrize("shape", [(40, 4, 12, 24), (7, 3, 5, 10), (731, 2, 3, 7), (1, 1, 1, 2),
+                                       # T*H*W: one stats block, one more value, not a
+                                       # multiple of 8, and many blocks
+                                       (8, 2, 64, 64), (9, 2, 11, 331), (97, 2, 33, 65),
+                                       (300, 2, 32, 64)])
     def test_stats_bits_equal_whole_array_formula(self, shape):
         # the formula per-channel reduction replaced: one float64
         # transpose of every channel, reduced along axis 1
@@ -333,6 +337,32 @@ class TestNormalization:
         core = f"OpenBLAS core {openblas_core()}"
         assert stats.mean.tobytes() == mean.tobytes(), core
         assert stats.std.tobytes() == std.tobytes(), core
+
+    @pytest.mark.parametrize("block", [8, 128, 1000])
+    @pytest.mark.parametrize("shape", [(7, 3, 5, 10), (731, 2, 3, 7), (97, 2, 33, 65)])
+    def test_stats_bits_hold_at_any_block(self, monkeypatch, block, shape):
+        monkeypatch.setattr(D, "_STATS_BLOCK", block)
+        self.test_stats_bits_equal_whole_array_formula(shape)
+
+    @pytest.mark.parametrize("block", [128, None])
+    def test_pairwise_sum_is_numpys(self, monkeypatch, block):
+        # a canary: if a numpy release changes how its float64 sum splits
+        # a run, this fails before the stats' bits move
+        if block:
+            monkeypatch.setattr(D, "_STATS_BLOCK", block)
+        a = np.random.default_rng(65).standard_normal(10**6) * 1e3
+        for n in [*range(1, 301), 10**6]:
+            got = D._pairwise_sum(lambda i, m: a[i:i + m], 0, n)
+            assert got.tobytes() == np.add.reduce(a[:n]).tobytes(), \
+                f"numpy's float64 pairwise split rule changed (n={n})"
+
+    @pytest.mark.parametrize("t", [1, 8, 60, 200])
+    def test_stats_peak_is_two_blocks_at_any_length(self, t):
+        rng = np.random.default_rng(66)
+        gf = D.GridFile(("A", "B"), np.arange(t, dtype=np.uint32),
+                        rng.standard_normal((t, 2, 32, 64)).astype(np.float32))
+        _, peak = traced_peak(D.compute_norm_stats, gf)
+        assert peak < 2 * 8 * D._STATS_BLOCK + 64 * 1024, peak
 
     def test_stats_hold_about_one_float64_channel(self):
         rng = np.random.default_rng(64)

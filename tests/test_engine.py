@@ -684,6 +684,25 @@ class TestGradCheck:
         with pytest.raises(E.EngineError, match="outside"):
             E.grad_check(lambda: E.sum_all(p), [p], h=1e-2)
 
+    @staticmethod
+    def drop_path_check(rate):
+        # one float64 stage of two blocks; a recorded forward draws drop
+        # factors at rate > 0, the unrecorded differences draw none
+        cfg = M.ModelConfig(in_channels=2, out_channels=2, stage_dims=(4,), depths=(2,),
+                            reduction_ratio=2, layer_scale_init=0.3, drop_path_rate=rate)
+        m = M.build(cfg, seed=5, dtype=np.float64)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((3, 2, 4, 8))
+        return E.grad_check(lambda: E.mean_all(m.forward(x)), m.parameters(), h=1e-5,
+                            rng=rng, sample=2)
+
+    def test_refuses_fn_that_depends_on_recording(self):
+        with pytest.raises(E.EngineError, match="must not depend on recording"):
+            self.drop_path_check(0.5)
+
+    def test_model_without_drop_path_passes(self):
+        assert self.drop_path_check(0.0) < 1e-4
+
     def test_sampling_probes_subset(self):
         p = E.Parameter(self.rng.standard_normal(50), "p")
         err = E.grad_check(

@@ -67,6 +67,11 @@ class TestRolloutBasics:
         assert list(out.dates) == [101, 102, 103, 104, 105]
         assert out.channels == gf.channels
 
+    def test_grid_file_shares_the_steps(self):
+        _, stats, init = setup_world()
+        series = R.rollout(tiny_model(), init, 3, stats)
+        assert np.shares_memory(series.to_grid_file().values, series.steps)
+
     def test_static_channels_identical_at_every_lead(self):
         gf, stats, init = setup_world()
         mask = D.static_channel_mask(gf)
