@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .data import (
+    MAX_DAY,
     DataError,
     FileSource,
     GridFile,
@@ -543,6 +544,10 @@ def cmd_rollout(cfg, out_dir):
                 f"rollout.init_day {cfg['rollout.init_day']} outside the "
                 f"{bundle.gf.n_time}-day series"
             )
+        end = int(bundle.gf.dates[idx]) + horizon
+        if end > MAX_DAY:
+            raise CliError(f"rollout.horizon {horizon} ends on day {end}, past day {MAX_DAY}, "
+                           f"the last a .grid file can stamp")
     z0 = normalize(bundle.gf.values[idx], bundle.stats)
     static = bundle.static_mask if cfg["rollout.static_reset"] else None
     series = rollout(model, z0, horizon, bundle.stats, static,

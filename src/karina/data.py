@@ -33,6 +33,8 @@ from karina.padding import GridSpec
 
 GRID_MAGIC = b"GFLD"
 GRID_VERSION = 1
+# a .grid file stores each day stamp as a u32
+MAX_DAY = 2**32 - 1
 
 
 class DataError(Exception):
@@ -60,7 +62,10 @@ class GridFile:
         unsafe = [name for name in self.channels if any(ch in name for ch in CSV_UNSAFE)]
         if unsafe:
             raise DataError(f"channel name {unsafe[0]!r} holds a character a CSV cell may not hold")
-        self.dates = np.asarray(self.dates, dtype=np.uint32)
+        dates = np.asarray(self.dates)
+        if dates.size and not (0 <= dates.min() and dates.max() <= MAX_DAY):
+            raise DataError(f"day stamps must lie in 0..{MAX_DAY}, got {dates.min()}..{dates.max()}")
+        self.dates = np.asarray(dates, dtype=np.uint32)
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
         if self.values.ndim != 4:
             raise DataError(f"values must be (time, channel, lat, lon), got shape {self.values.shape}")
@@ -270,6 +275,9 @@ class SyntheticSpec:
             raise DataError(f"noise amplitude must be nonnegative, got {self.noise}")
         if self.start_day < 0:
             raise DataError(f"start_day must be nonnegative, got {self.start_day}")
+        if self.start_day + self.n_days - 1 > MAX_DAY:
+            raise DataError(f"start_day {self.start_day} with {self.n_days} days passes day "
+                            f"{MAX_DAY}, the last a .grid file can stamp")
 
     @property
     def channels(self):
@@ -396,7 +404,7 @@ def generate_synthetic(spec):
     # a finite setting can overflow float32; compute_norm_stats names the error
     with np.errstate(over="ignore"):
         values = np.stack([field_set.frame(t) for t in range(spec.n_days)]).astype(np.float32)
-    dates = spec.start_day + np.arange(spec.n_days, dtype=np.uint32)
+    dates = spec.start_day + np.arange(spec.n_days, dtype=np.int64)
     return GridFile(channels=field_set.channels, dates=dates, values=values)
 
 

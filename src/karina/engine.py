@@ -1,10 +1,17 @@
 """Reverse-mode differentiation over dense numpy arrays.
 
-Every operation builds a new Tensor carrying a closure that scatters the
-upstream gradient back to its parents.  backward() walks the recorded
-graph once in reverse topological order, freeing it as it goes.  64-bit
-arrays are the verification dtype (finite differences behave), 32-bit
-the training dtype; ops never mix the two silently.
+Every op records through one primitive, _make.  It passes its output
+and, for each parent in order, a function of the upstream gradient g
+that gives that parent's gradient, plus the rule that adds it into the
+parent's .grad: _accumulate, or _accumulate_samples where the
+micro-batch contract below needs it.  A tensor requires grad when it is
+a Parameter or a recorded output.  An op records only outside no_grad
+and when some parent requires grad, and its backward calls the gradient
+function of each parent that does, in parent order, and of no other.
+backward() walks the recorded graph once in reverse topological order,
+freeing it as it goes.  64-bit arrays are the verification dtype (finite
+differences behave), 32-bit the training dtype; ops never mix the two
+silently.
 
 Two properties the ops are written to preserve, because tests rely on
 them:
@@ -25,6 +32,8 @@ from contextlib import contextmanager
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, expit
+
+from karina.files import require_finite
 
 SUPPORTED_DTYPES = (np.float32, np.float64)
 
@@ -68,11 +77,6 @@ def recording():
     return _recording
 
 
-def _check_finite(arr, op):
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values in output of {op}")
-
-
 def _same_dtype(a, b, op):
     if a.data.dtype != b.data.dtype:
         raise ShapeError(
@@ -80,21 +84,31 @@ def _same_dtype(a, b, op):
         )
 
 
+def _same_shape(a, b, op):
+    _same_dtype(a, b, op)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
+
+
 class Tensor:
     """A dense array plus optional gradient bookkeeping."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
+    __slots__ = ("data", "grad", "_parents", "_backward_fn", "_op")
 
-    def __init__(self, data, requires_grad=False):
+    def __init__(self, data):
         arr = np.asarray(data)
         if arr.dtype.type not in SUPPORTED_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
         self._backward_fn = None
         self._op = "leaf"
+
+    @property
+    def requires_grad(self):
+        """True for a recorded output; a Parameter always requires grad."""
+        return self._backward_fn is not None
 
     @property
     def shape(self):
@@ -114,9 +128,10 @@ class Parameter(Tensor):
     """Trainable leaf tensor with a path-like name, e.g. 'stages.0.blocks.1.dwconv.weight'."""
 
     __slots__ = ("name",)
+    requires_grad = True
 
     def __init__(self, data, name):
-        super().__init__(data, requires_grad=True)
+        super().__init__(data)
         self.name = str(name)
 
     def __repr__(self):
@@ -149,14 +164,24 @@ def _accumulate_samples(t, per_sample):
         t.grad += per_sample[k]
 
 
-def _make(out_data, parents, backward_fn, op):
-    _check_finite(out_data, op)
-    req = _recording and any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=req)
+def _make(out_data, op, *rules):
+    """The one way an op records: its output, checked finite, as a Tensor.
+
+    rules holds (parent, grad, accumulate) for each parent in order:
+    grad(g) is the parent's gradient from the upstream g, and
+    accumulate(parent, grad(g)) adds it in.
+    """
+    require_finite(out_data, NonFiniteError, f"output of {op}")
+    out = Tensor(out_data)
     out._op = op
-    if req:
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    if _recording and any(p.requires_grad for p, _, _ in rules):
+        def bwd(g):
+            for p, grad, accumulate in rules:
+                if p.requires_grad:
+                    accumulate(p, grad(g))
+
+        out._parents = tuple(p for p, _, _ in rules)
+        out._backward_fn = bwd
     return out
 
 
@@ -216,97 +241,53 @@ def zero_grads(params):
 
 def add(a, b):
     """a + b, same shape only."""
-    _same_dtype(a, b, "add")
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-    out_data = a.data + b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
-
-    return _make(out_data, (a, b), bwd, "add")
+    _same_shape(a, b, "add")
+    return _make(a.data + b.data, "add",
+                 (a, lambda g: g, _accumulate), (b, lambda g: g, _accumulate))
 
 
 def sub(a, b):
     """a - b, same shape only."""
-    _same_dtype(a, b, "sub")
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: shapes {a.data.shape} and {b.data.shape} differ")
-    out_data = a.data - b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, -g)
-
-    return _make(out_data, (a, b), bwd, "sub")
+    _same_shape(a, b, "sub")
+    return _make(a.data - b.data, "sub",
+                 (a, lambda g: g, _accumulate), (b, lambda g: -g, _accumulate))
 
 
 def mul(a, b):
     """Elementwise a * b, same shape only."""
-    _same_dtype(a, b, "mul")
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
-    out_data = a.data * b.data
+    _same_shape(a, b, "mul")
     a_data, b_data = a.data, b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * b_data)
-        if b.requires_grad:
-            _accumulate(b, g * a_data)
-
-    return _make(out_data, (a, b), bwd, "mul")
+    return _make(a_data * b_data, "mul",
+                 (a, lambda g: g * b_data, _accumulate), (b, lambda g: g * a_data, _accumulate))
 
 
 def scale(a, c):
     """a * c for a python scalar c."""
-    c = float(c)
-    out_data = a.data * a.data.dtype.type(c)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * a.data.dtype.type(c))
-
-    return _make(out_data, (a,), bwd, "scale")
+    c = a.data.dtype.type(float(c))
+    return _make(a.data * c, "scale", (a, lambda g: g * c, _accumulate))
 
 
 def relu(a):
-    out_data = np.maximum(a.data, 0)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * (a.data > 0))
-
-    return _make(out_data, (a,), bwd, "relu")
+    x = a.data
+    return _make(np.maximum(x, 0), "relu", (a, lambda g: g * (x > 0), _accumulate))
 
 
 def gelu(a):
     """Exact-erf form: x * Phi(x) with Phi the standard normal CDF."""
     x = a.data
     phi_cdf = 0.5 * (1.0 + erf(x * x.dtype.type(_INV_SQRT2)))
-    out_data = x * phi_cdf
 
-    def bwd(g):
-        if a.requires_grad:
-            pdf = np.exp(-0.5 * x * x) * x.dtype.type(_INV_SQRT2PI)
-            _accumulate(a, g * (phi_cdf + x * pdf))
+    def x_grad(g):
+        pdf = np.exp(-0.5 * x * x) * x.dtype.type(_INV_SQRT2PI)
+        return g * (phi_cdf + x * pdf)
 
-    return _make(out_data, (a,), bwd, "gelu")
+    return _make(x * phi_cdf, "gelu", (a, x_grad, _accumulate))
 
 
 def sigmoid(a):
     out_data = expit(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), bwd, "sigmoid")
+    return _make(out_data, "sigmoid",
+                 (a, lambda g: g * out_data * (1.0 - out_data), _accumulate))
 
 
 # ---------------------------------------------------------------------------
@@ -315,26 +296,17 @@ def sigmoid(a):
 
 def sum_all(a):
     """Scalar sum of all elements (fixed numpy reduction tree)."""
-    out_data = np.asarray(a.data.sum(dtype=a.data.dtype))
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, np.broadcast_to(g, a.data.shape))
-
-    return _make(out_data, (a,), bwd, "sum_all")
+    shape = a.data.shape
+    return _make(np.asarray(a.data.sum(dtype=a.data.dtype)), "sum_all",
+                 (a, lambda g: np.broadcast_to(g, shape), _accumulate))
 
 
 def mean_all(a):
     if a.data.size == 0:
         raise ShapeError("mean_all: empty tensor")
-    n = a.data.size
-    out_data = np.asarray(a.data.sum(dtype=a.data.dtype) / a.data.dtype.type(n))
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, np.broadcast_to(g / a.data.dtype.type(n), a.data.shape))
-
-    return _make(out_data, (a,), bwd, "mean_all")
+    shape, n = a.data.shape, a.data.dtype.type(a.data.size)
+    return _make(np.asarray(a.data.sum(dtype=a.data.dtype) / n), "mean_all",
+                 (a, lambda g: np.broadcast_to(g / n, shape), _accumulate))
 
 
 def global_avg_pool(a):
@@ -351,21 +323,17 @@ def global_avg_pool(a):
     h, w = a.data.shape[-2:]
     if h == 0 or w == 0:
         raise ShapeError("global_avg_pool: empty spatial extent")
-    lead_shape = a.data.shape[:-2]
+    shape = a.data.shape
     flat = a.data.reshape(-1, h * w)
     if a.data.dtype == np.float64:
         sums = np.array([math.fsum(row) for row in flat.tolist()], dtype=np.float64)
     else:
         sums = np.sort(flat, axis=1).sum(axis=1, dtype=np.float64)
-    out_data = (sums / (h * w)).astype(a.data.dtype).reshape(lead_shape)
-    inv = 1.0 / (h * w)
-
-    def bwd(g):
-        if a.requires_grad:
-            gg = (g.reshape(lead_shape + (1, 1)) * a.data.dtype.type(inv))
-            _accumulate(a, np.broadcast_to(gg, a.data.shape))
-
-    return _make(out_data, (a,), bwd, "global_avg_pool")
+    out_data = (sums / (h * w)).astype(a.data.dtype).reshape(shape[:-2])
+    inv = a.data.dtype.type(1.0 / (h * w))
+    return _make(out_data, "global_avg_pool",
+                 (a, lambda g: np.broadcast_to(g.reshape(shape[:-2] + (1, 1)) * inv, shape),
+                  _accumulate))
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +359,21 @@ def layer_norm_channels(x, gamma, beta):
     inv_std = 1.0 / np.sqrt(var + xd.dtype.type(1e-6))
     xhat = (xd - mu) * inv_std
     gamma4 = gamma.data.reshape(c, 1, 1)
-    out_data = xhat * gamma4 + beta.data.reshape(c, 1, 1)
 
-    def bwd(g):
-        if gamma.requires_grad:
-            _accumulate_samples(gamma, (g * xhat).sum(axis=(2, 3)))
-        if beta.requires_grad:
-            _accumulate_samples(beta, g.sum(axis=(2, 3)))
-        if x.requires_grad:
-            dxhat = g * gamma4
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            _accumulate(x, inv_std * (dxhat - m1 - xhat * m2))
+    def x_grad(g):
+        dxhat = g * gamma4
+        m1 = dxhat.mean(axis=1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+        return inv_std * (dxhat - m1 - xhat * m2)
 
-    return _make(out_data, (x, gamma, beta), bwd, "layer_norm_channels")
+    return _make(xhat * gamma4 + beta.data.reshape(c, 1, 1), "layer_norm_channels",
+                 (x, x_grad, _accumulate),
+                 (gamma, lambda g: (g * xhat).sum(axis=(2, 3)), _accumulate_samples),
+                 (beta, lambda g: g.sum(axis=(2, 3)), _accumulate_samples))
+
+
+def _rows(a):
+    return a.reshape(-1, a.shape[-1])
 
 
 def linear(x, w, b):
@@ -417,24 +386,16 @@ def linear(x, w, b):
         )
     if b.data.shape != (w.data.shape[0],):
         raise ShapeError(f"linear: bias shape {b.data.shape} != ({w.data.shape[0]},)")
+    x_data, w_data = x.data, w.data
     # one GEMM per sample (leading axis batched) so each row's result does
     # not depend on how many rows ride along; a plain 2-D GEMM blocks over
     # rows and would break micro-batch bit-equality
-    out_data = np.matmul(x.data[..., None, :], w.data.T)[..., 0, :] + b.data
-    x_data = x.data
-
-    def bwd(g):
-        if x.requires_grad:
-            _accumulate(x, np.matmul(g[..., None, :], w.data)[..., 0, :])
-        g2 = g.reshape(-1, g.shape[-1])
-        x2 = x_data.reshape(-1, x_data.shape[-1])
-        if w.requires_grad:
-            per_sample = g2[:, :, None] * x2[:, None, :]
-            _accumulate_samples(w, per_sample)
-        if b.requires_grad:
-            _accumulate_samples(b, g2)
-
-    return _make(out_data, (x, w, b), bwd, "linear")
+    out_data = np.matmul(x_data[..., None, :], w_data.T)[..., 0, :] + b.data
+    return _make(out_data, "linear",
+                 (x, lambda g: np.matmul(g[..., None, :], w_data)[..., 0, :], _accumulate),
+                 (w, lambda g: _rows(g)[:, :, None] * _rows(x_data)[:, None, :],
+                  _accumulate_samples),
+                 (b, _rows, _accumulate_samples))
 
 
 def channel_scale(x, s):
@@ -445,22 +406,12 @@ def channel_scale(x, s):
         raise ShapeError(
             f"channel_scale: scale shape {s.data.shape} does not fit input {x.data.shape}"
         )
-    per_batch = s.data.ndim == 2
-    sb = s.data.reshape(s.data.shape + (1, 1))
-    out_data = x.data * sb
     x_data = x.data
-
-    def bwd(g):
-        if x.requires_grad:
-            _accumulate(x, g * sb)
-        if s.requires_grad:
-            per_sample = (g * x_data).sum(axis=(2, 3))
-            if per_batch:
-                _accumulate(s, per_sample)
-            else:
-                _accumulate_samples(s, per_sample)
-
-    return _make(out_data, (x, s), bwd, "channel_scale")
+    sb = s.data.reshape(s.data.shape + (1, 1))
+    return _make(x_data * sb, "channel_scale",
+                 (x, lambda g: g * sb, _accumulate),
+                 (s, lambda g: (g * x_data).sum(axis=(2, 3)),
+                  _accumulate if s.data.ndim == 2 else _accumulate_samples))
 
 
 def sample_scale(x, factors):
@@ -471,13 +422,7 @@ def sample_scale(x, factors):
     if f.shape != x.data.shape[:1]:
         raise ShapeError(f"sample_scale: factors shape {f.shape} != {x.data.shape[:1]}")
     fb = f.reshape(f.shape + (1, 1, 1))
-    out_data = x.data * fb
-
-    def bwd(g):
-        if x.requires_grad:
-            _accumulate(x, g * fb)
-
-    return _make(out_data, (x,), bwd, "sample_scale")
+    return _make(x.data * fb, "sample_scale", (x, lambda g: g * fb, _accumulate))
 
 
 # ---------------------------------------------------------------------------
@@ -500,31 +445,27 @@ def pad2d(x, table):
     """
     hp, wp = table.shape
     table = table.reshape(-1)
-    h, w = x.data.shape[-2:]
+    shape, dtype = x.data.shape, x.data.dtype
+    h, w = shape[-2:]
     if table.size and (table.max() >= h * w or table.min() < -1):
         raise ShapeError("pad2d: table index out of range")
     flat = x.data.reshape(-1, h * w)
     rows = flat.shape[0]
-    safe = np.maximum(table, 0)
-    out = flat.take(safe, axis=1)
+    out = flat.take(np.maximum(table, 0), axis=1)
     zero_mask = table < 0
     if zero_mask.any():
         out[:, zero_mask] = 0
-    out_data = out.reshape(x.data.shape[:-2] + (hp, wp))
 
-    def bwd(g):
-        if not x.requires_grad:
-            return
+    def x_grad(g):
         valid = np.flatnonzero(table >= 0)
         src = table[valid]
         gv = g.reshape(rows, hp * wp).take(valid, axis=1)
         dx = np.empty((rows, h * w), dtype=np.float64)
         for r in range(rows):
             dx[r] = np.bincount(src, weights=gv[r], minlength=h * w)
-        dx = dx.astype(x.data.dtype, copy=False).reshape(x.data.shape)
-        _accumulate(x, dx)
+        return dx.astype(dtype, copy=False).reshape(shape)
 
-    return _make(out_data, (x,), bwd, "pad2d")
+    return _make(out.reshape(shape[:-2] + (hp, wp)), "pad2d", (x, x_grad, _accumulate))
 
 
 # The most patch-matrix bytes _patches builds at once: one core's L2.  In
@@ -672,33 +613,33 @@ def conv2d_valid(x, w, b, groups=1):
 
     out_data = _conv(xd, w.data, groups)
     out_data += b.data.reshape(1, cout, 1, 1)
+    wd = w.data
 
-    def bwd(g):
-        gmat = g.reshape(bsz, cout, -1)
-        if b.requires_grad:
-            _accumulate_samples(b, gmat.sum(axis=2))
-        if w.requires_grad:
-            gg = gmat.reshape(bsz, groups, cout // groups, -1)
-            per_sample = np.empty((bsz, groups, cout // groups, cin_g * k * k), dtype=xd.dtype)
-            for ns, gs, cols in _patches(xd, k, groups):
-                np.matmul(gg[ns, gs], cols.transpose(0, 1, 3, 2), out=per_sample[ns, gs])
-            _accumulate_samples(w, per_sample.reshape((bsz,) + w.data.shape))
-        if x.requires_grad and cin_g == 1 and cout == groups:
-            taps = w.data.reshape(1, cout, k * k)
+    def w_grad(g):
+        gg = g.reshape(bsz, groups, cout // groups, -1)
+        per_sample = np.empty((bsz, groups, cout // groups, cin_g * k * k), dtype=xd.dtype)
+        for ns, gs, cols in _patches(xd, k, groups):
+            np.matmul(gg[ns, gs], cols.transpose(0, 1, 3, 2), out=per_sample[ns, gs])
+        return per_sample.reshape((bsz,) + wd.shape)
+
+    def x_grad(g):
+        if cin_g == 1 and cout == groups:
+            taps = wd.reshape(1, cout, k * k)
             ho, wo = g.shape[2:]
             dx = np.zeros(xd.shape, dtype=xd.dtype)
             for t in range(k * k - 1, -1, -1):
                 i, j = divmod(t, k)
                 dx[:, :, i:i + ho, j:j + wo] += taps[..., t, None, None] * g
-            _accumulate(x, dx)
-        elif x.requires_grad:
-            wf = (w.data.reshape(groups, cout // groups, cin_g, k, k)[..., ::-1, ::-1]
-                  .transpose(0, 2, 1, 3, 4).reshape(cin, cout // groups, k, k))
-            gp = np.zeros((bsz, cout, hp + k - 1, wp + k - 1), dtype=g.dtype)
-            gp[:, :, k - 1:hp, k - 1:wp] = g
-            _accumulate(x, _conv(gp, wf, groups))
+            return dx
+        wf = (wd.reshape(groups, cout // groups, cin_g, k, k)[..., ::-1, ::-1]
+              .transpose(0, 2, 1, 3, 4).reshape(cin, cout // groups, k, k))
+        gp = np.zeros((bsz, cout, hp + k - 1, wp + k - 1), dtype=g.dtype)
+        gp[:, :, k - 1:hp, k - 1:wp] = g
+        return _conv(gp, wf, groups)
 
-    return _make(out_data, (x, w, b), bwd, "conv2d_valid")
+    return _make(out_data, "conv2d_valid", (x, x_grad, _accumulate),
+                 (w, w_grad, _accumulate_samples),
+                 (b, lambda g: g.reshape(bsz, cout, -1).sum(axis=2), _accumulate_samples))
 
 
 # ---------------------------------------------------------------------------

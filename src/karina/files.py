@@ -61,11 +61,15 @@ def write_csv(path, header, rows):
     write_lines(path, [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows])
 
 
-def require_finite(values, error, what):
-    """Raise error unless every value is finite.  min and max carry NaN
-    and both infinities, and allocate no array the size of values."""
+def require_finite(values, error, what, axes=None):
+    """Raise error unless every value is finite, naming the first bad
+    index, by the axis names axes when given.  min and max carry NaN and
+    both infinities, and allocate no array the size of values; only a
+    failure looks for the index."""
     if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
-        raise error(f"{what} holds a non-finite value")
+        at = np.argwhere(~np.isfinite(values))[0].tolist()
+        where = ", ".join(f"{a} {i}" for a, i in zip(axes, at)) if axes else f"index {tuple(at)}"
+        raise error(f"{what} holds a non-finite value at {where}")
 
 
 def write_u32(fh, *values):

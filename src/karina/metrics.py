@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from karina.files import write_csv
+from karina.files import require_finite, write_csv
 from karina.padding import GridSpec
 
 
@@ -65,11 +65,8 @@ def weighted_moments(x, w):
     return mean, centered, var
 
 
-def _require_finite(a, label):
-    bad = ~np.isfinite(a)
-    if bad.any():
-        c, i, j = np.argwhere(bad)[0]
-        raise MetricsError(f"{label} is not finite at channel {c}, row {i}, col {j}")
+# the axes of a (channel, lat, lon) field, as errors name them
+FIELD_AXES = ("channel", "row", "col")
 
 
 @dataclass(frozen=True)
@@ -96,8 +93,8 @@ def _fields(sample):
     """The sample's forecast and truth as float64, both checked finite."""
     f = np.asarray(sample.forecast, dtype=np.float64)
     t = np.asarray(sample.truth, dtype=np.float64)
-    _require_finite(f, "forecast")
-    _require_finite(t, "truth")
+    require_finite(f, MetricsError, "forecast", FIELD_AXES)
+    require_finite(t, MetricsError, "truth", FIELD_AXES)
     return f, t
 
 
@@ -186,11 +183,9 @@ def fit_climatology(series, dates, n_harmonics=3):
     dates = np.asarray(dates, dtype=np.float64)
     if dates.shape != (series.shape[0],):
         raise MetricsError(f"{dates.shape[0] if dates.ndim else 0} dates for {series.shape[0]} fields")
-    if not np.isfinite(dates).all():
-        raise MetricsError("dates contain non-finite values")
+    require_finite(dates, MetricsError, "dates")
+    require_finite(series, MetricsError, "series")
     t, c, h, w = series.shape
-    if not all(np.isfinite(series[:, k]).all() for k in range(c)):
-        raise MetricsError("series contains non-finite values")
     span = float(dates.max() - dates.min()) + 1.0
     if span < 2.0 * PERIOD_DAYS:
         raise MetricsError(

@@ -20,8 +20,8 @@ import numpy as np
 
 from karina import engine
 from karina.data import GridFile, denormalize
-from karina.files import write_csv
-from karina.metrics import latitude_weights, weighted_moments
+from karina.files import require_finite, write_csv
+from karina.metrics import FIELD_AXES, latitude_weights, weighted_moments
 from karina.padding import GridSpec
 
 BLOWUP_STD = 100.0
@@ -64,10 +64,10 @@ class ForecastSeries:
         """One time entry per lead, dated init_date + lead."""
         if self.horizon_done == 0:
             raise RolloutError("series holds no completed steps")
-        leads = np.arange(1, self.horizon_done + 1, dtype=np.uint32)
+        leads = np.arange(1, self.horizon_done + 1, dtype=np.int64)
         return GridFile(
             channels=self.channels,
-            dates=np.uint32(round(self.init_date)) + leads,
+            dates=round(self.init_date) + leads,
             values=np.asarray(self.steps, dtype=np.float32),
         )
 
@@ -95,16 +95,17 @@ def rollout(model, init_state, horizon, stats, static_mask=None, init_date=0.0,
         static_mask = np.asarray(static_mask, dtype=bool)
         if static_mask.shape != (c,):
             raise RolloutError(f"static mask shape {static_mask.shape} does not cover {c} channels")
-    if not np.isfinite(init_state).all():
-        raise RolloutError("initial state contains non-finite values")
+    require_finite(init_state, RolloutError, "initial state", FIELD_AXES)
 
     grid = GridSpec.from_shape(init_state.shape[1], init_state.shape[2])
     w = latitude_weights(grid)[None, :, None]
 
-    steps = []
-    means, stds, mins, maxs = [], [], [], []
+    # each step is written in place, so a run holds its steps once
+    steps = np.empty((horizon,) + init_state.shape, dtype=np.float32)
+    means, stds, mins, maxs = np.empty((4, horizon, c))
     state = init_state.copy()
     blowup = None
+    done = 0
     with engine.no_grad():
         for k in range(horizon):
             try:
@@ -122,25 +123,22 @@ def rollout(model, init_state, horizon, stats, static_mask=None, init_date=0.0,
                 blowup = k + 1
                 break
             state = nxt
-            step = denormalize(nxt, stats).astype(np.float32)
+            steps[k] = denormalize(nxt, stats)
             if static_mask is not None and init_field is not None:
-                step[static_mask] = init_field[static_mask]
-            steps.append(step)
-            means.append(mean)
-            stds.append(std)
-            mins.append(x.min(axis=(-2, -1)))
-            maxs.append(x.max(axis=(-2, -1)))
+                steps[k, static_mask] = init_field[static_mask]
+            means[k], stds[k] = mean, std
+            mins[k], maxs[k] = x.min(axis=(-2, -1)), x.max(axis=(-2, -1))
+            done = k + 1
 
-    shape = (len(steps), c, init_state.shape[1], init_state.shape[2])
     return ForecastSeries(
         init_date=float(init_date),
-        steps=np.array(steps, dtype=np.float32).reshape(shape),
+        steps=steps[:done],
         channels=tuple(stats.channels),
         final_state=state,
-        step_means=np.array(means).reshape(len(steps), c),
-        step_stds=np.array(stds).reshape(len(steps), c),
-        step_mins=np.array(mins).reshape(len(steps), c),
-        step_maxs=np.array(maxs).reshape(len(steps), c),
+        step_means=means[:done],
+        step_stds=stds[:done],
+        step_mins=mins[:done],
+        step_maxs=maxs[:done],
         blowup_step=blowup,
     )
 

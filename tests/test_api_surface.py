@@ -18,6 +18,7 @@ read as `.name` on any other receiver counts for every class.
 """
 
 import ast
+import importlib.util
 import io
 import re
 import tokenize
@@ -209,3 +210,15 @@ def test_every_src_name_is_reached():
     defining = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     users = [p.read_text(encoding="utf-8") for p in USERS]
     assert unreached(defining, users) == []
+
+
+def test_every_perfbench_probe_resolves():
+    # perfbench looks each probed function up by name; a renamed op would
+    # otherwise fail only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    points = tracing._points()
+    assert len(points) == 72
+    for owner, attr, *_ in points:
+        assert callable(tracing._get(owner, attr)), (owner, attr)

@@ -583,6 +583,25 @@ class TestRolloutCommand:
         assert code == 0
         assert peak < 1.5 * payload, peak / payload
 
+    def test_horizon_past_the_last_stamp_writes_nothing(self, tmp_path, capsys):
+        ckpt = self.make_checkpoint(tmp_path)
+        world = tmp_path / "end.grid"
+        data.write_grid(data.generate_synthetic(data.SyntheticSpec(
+            n_days=30, seed=2, n_lat=12, n_lon=24, noise=0.05,
+            start_day=data.MAX_DAY - 29)), str(world))
+        args = [*SMOKE, "--set", f"data.path={world}", "--set", f"rollout.checkpoint={ckpt}",
+                "--set", "rollout.horizon=3"]
+        out = tmp_path / "ro"
+        # from the last day, the first lead would be stamped day 0
+        assert cli.main(["rollout", "--out", str(out), *args]) == 1
+        assert capsys.readouterr().err.startswith("config error: rollout.horizon 3 ends on day")
+        assert list(out.iterdir()) == []
+        fits = tmp_path / "fits"
+        assert cli.main(["rollout", "--out", str(fits), *args,
+                         "--set", "rollout.init_day=-4"]) == 0
+        last = data.read_grid(str(fits / "forecast_003.grid"))
+        assert last.dates.tolist() == [data.MAX_DAY]
+
     def test_init_day_out_of_range(self, tmp_path, capsys):
         ckpt = self.make_checkpoint(tmp_path)
         code = cli.main(["rollout", "--out", str(tmp_path / "ro"), *SMOKE,
@@ -691,6 +710,15 @@ class TestCorruptInputs:
         assert err.startswith("config error:")
         assert "stem.conv.weight" in err
         assert not (out / "FAILED").exists()
+
+    @pytest.mark.parametrize("start_day", [2**32, 2**32 - 6])
+    def test_synthetic_days_past_the_last_stamp(self, tmp_path, capsys, start_day):
+        # 30 days from 2**32 - 6 would wrap to day 0 in a u32 stamp
+        out = tmp_path / "run"
+        assert run_train(out, "--set", f"synth.start_day={start_day}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: start_day {start_day} with 30 days passes day")
+        assert list(out.iterdir()) == []
 
     def test_zero_extent_grid(self, tmp_path, capsys):
         world = tmp_path / "z.grid"

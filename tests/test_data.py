@@ -105,6 +105,18 @@ class TestGridFileContainer:
             D.GridFile(("A",), np.array([3, 3], dtype=np.uint32),
                        np.zeros((2, 1, 4, 8), np.float32))
 
+    @pytest.mark.parametrize("dates", [[-1, 0], [D.MAX_DAY, D.MAX_DAY + 1], [0.0, np.nan]])
+    def test_day_stamps_outside_u32_rejected(self, dates):
+        # a u32 cast would wrap these, or make NaN a day
+        with pytest.raises(D.DataError, match="day stamps must lie in 0..4294967295"):
+            D.GridFile(("A",), np.array(dates), np.zeros((2, 1, 4, 8), np.float32))
+
+    def test_last_u32_day_kept(self):
+        gf = D.GridFile(("A",), np.array([D.MAX_DAY - 1, D.MAX_DAY], dtype=np.int64),
+                        np.zeros((2, 1, 4, 8), np.float32))
+        assert gf.dates.dtype == np.uint32
+        assert gf.dates.tolist() == [D.MAX_DAY - 1, D.MAX_DAY]
+
     def test_rank_checked(self):
         with pytest.raises(D.DataError, match="time, channel"):
             D.GridFile(("A",), np.arange(2, dtype=np.uint32),
@@ -388,6 +400,15 @@ class TestSyntheticSpec:
     def test_invalid_fields_rejected(self, kw, frag):
         with pytest.raises(D.DataError, match=frag):
             small_spec(**kw)
+
+    @pytest.mark.parametrize("start_day,n_days", [(D.MAX_DAY + 1, 1), (D.MAX_DAY - 5, 30)])
+    def test_days_past_the_last_stamp_rejected(self, start_day, n_days):
+        with pytest.raises(D.DataError, match=f"start_day {start_day} with {n_days} days"):
+            small_spec(start_day=start_day, n_days=n_days)
+
+    def test_days_up_to_the_last_stamp_generate(self):
+        gf = D.generate_synthetic(small_spec(start_day=D.MAX_DAY - 2, n_days=3))
+        assert gf.dates.tolist() == [D.MAX_DAY - 2, D.MAX_DAY - 1, D.MAX_DAY]
 
     def test_channel_names(self):
         assert small_spec(n_blob_channels=3).channels == ("TR01", "TR02", "TR03", "SEAS", "OROG")

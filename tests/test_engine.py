@@ -1,5 +1,8 @@
 """Engine ops against brute-force forward oracles and central differences."""
 
+import ast
+import inspect
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -633,6 +636,76 @@ class TestBackwardSemantics:
                 offset += n
             for ref, p in zip(full, params):
                 assert np.array_equal(ref, p.grad), f"split {split} diverged on {p.name}"
+
+
+def recording_cases():
+    """(op, fn, parent arrays) per recording op; channel_scale and
+    conv2d_valid get a second case for their other backward path."""
+    r = np.random.default_rng(41)
+    x, y, c3 = r.standard_normal((2, 3, 4, 5)), r.standard_normal((2, 3, 4, 5)), r.standard_normal(3)
+    table = np.pad(np.arange(20).reshape(4, 5), 1, constant_values=-1)
+    cases = [
+        ("add", E.add, [x, y]),
+        ("sub", E.sub, [x, y]),
+        ("mul", E.mul, [x, y]),
+        ("scale", lambda a: E.scale(a, 0.5), [x]),
+        ("relu", E.relu, [x]),
+        ("gelu", E.gelu, [x]),
+        ("sigmoid", E.sigmoid, [x]),
+        ("sum_all", E.sum_all, [x]),
+        ("mean_all", E.mean_all, [x]),
+        ("global_avg_pool", E.global_avg_pool, [x]),
+        ("layer_norm_channels", E.layer_norm_channels, [x, c3, r.standard_normal(3)]),
+        ("linear", E.linear, [r.standard_normal((2, 5)), r.standard_normal((4, 5)),
+                              r.standard_normal(4)]),
+        ("channel_scale", E.channel_scale, [x, c3]),
+        ("channel_scale", E.channel_scale, [x, r.standard_normal((2, 3))]),
+        ("sample_scale", lambda a: E.sample_scale(a, [0.5, 2.0]), [x]),
+        ("pad2d", lambda a: E.pad2d(a, table), [x]),
+        ("conv2d_valid", E.conv2d_valid, [x, r.standard_normal((2, 3, 3, 3)),
+                                          r.standard_normal(2)]),
+        ("conv2d_valid", lambda a, w, b: E.conv2d_valid(a, w, b, groups=3),
+         [x, r.standard_normal((3, 1, 3, 3)), r.standard_normal(3)]),
+    ]
+    return [pytest.param(*case, id=f"{case[0]}-{k}") for k, case in enumerate(cases)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op,fn,arrays", recording_cases())
+class TestRecording:
+    """Every op records through one rule: a parent requires grad when it
+    is a Parameter or a recorded output, and only such parents get one."""
+
+    def test_only_parameters_get_grads(self, op, fn, arrays, dtype):
+        for mask in itertools.product((False, True), repeat=len(arrays)):
+            if not any(mask):
+                continue
+            parents = [E.Parameter(a.astype(dtype), f"p{i}") if m else E.Tensor(a.astype(dtype))
+                       for i, (a, m) in enumerate(zip(arrays, mask))]
+            out = fn(*parents)
+            assert out.requires_grad and out._op == op
+            E.backward(out if out.data.size == 1 else E.sum_all(out))
+            for p, a, m in zip(parents, arrays, mask):
+                if not m:
+                    assert p.grad is None, (mask, p)
+                    continue
+                assert p.grad.dtype == dtype and p.grad.shape == a.shape, (mask, p)
+                assert p.grad.flags.c_contiguous, (mask, p, p.grad.strides)
+
+    def test_plain_parents_record_nothing(self, op, fn, arrays, dtype):
+        out = fn(*[E.Tensor(a.astype(dtype)) for a in arrays])
+        assert out._op == op and not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+
+
+def test_recording_cases_cover_every_op():
+    # every engine function that records through _make has a case above
+    tree = ast.parse(inspect.getsource(E))
+    recorders = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+                 and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_make"
+                         for n in ast.walk(f))}
+    assert len(recorders) == 16
+    assert {case.values[0] for case in recording_cases()} == recorders
 
 
 class TestNonFinite:

@@ -184,3 +184,28 @@ def test_only_the_commands_write_lines_themselves():
         if isinstance(node, ast.ImportFrom) and any(a.name == "write_lines" for a in node.names)
     }
     assert importers == {"cli.py"}
+
+
+def test_require_finite_names_the_first_bad_index():
+    values = np.zeros((2, 3, 4))
+    values[1, 2, 0], values[1, 2, 3] = np.inf, np.nan
+    with pytest.raises(ValueError, match=r"^x holds a non-finite value at index \(1, 2, 0\)$"):
+        files.require_finite(values, ValueError, "x")
+    with pytest.raises(ValueError, match=r"^x holds a non-finite value at c 1, r 2, w 0$"):
+        files.require_finite(values, ValueError, "x", ("c", "r", "w"))
+    files.require_finite(np.zeros(0), ValueError, "x")
+
+
+def test_one_non_finite_check():
+    # arrays are checked by files.require_finite; compute_norm_stats keeps
+    # its own test of each channel's min and max, whose message it pins
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "files.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "isfinite"
+                    and getattr(n.value, "id", None) == "np" for n in ast.walk(fn)):
+                callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"data.compute_norm_stats"}

@@ -12,6 +12,7 @@ from karina import data as D
 from karina import engine as E
 from karina import model as M
 from karina import rollout as R
+from test_data import traced_peak
 
 
 def setup_world(seed=0, n_days=10):
@@ -71,6 +72,27 @@ class TestRolloutBasics:
         _, stats, init = setup_world()
         series = R.rollout(tiny_model(), init, 3, stats)
         assert np.shares_memory(series.to_grid_file().values, series.steps)
+
+    def test_grid_file_dates_stop_at_the_last_stamp(self):
+        _, stats, init = setup_world()
+        series = R.rollout(tiny_model(), init, 3, stats, init_date=float(D.MAX_DAY - 3))
+        assert series.to_grid_file().dates.tolist() == [D.MAX_DAY - 2, D.MAX_DAY - 1, D.MAX_DAY]
+        # one day later the last lead would wrap to day 0
+        series = R.rollout(tiny_model(), init, 3, stats, init_date=float(D.MAX_DAY - 2))
+        with pytest.raises(D.DataError, match="day stamps"):
+            series.to_grid_file()
+
+    def test_steps_are_held_once(self):
+        # 200 steps of a 4-channel 32x64 state are 6.25 MiB; appending
+        # each step to a list and stacking the list held them twice.  The
+        # stepper is a fake, so the peak is the rollout's own: a model's
+        # forward adds its working memory, whatever the horizon
+        gf = D.generate_synthetic(D.SyntheticSpec(n_days=3, seed=1, n_lat=32, n_lon=64))
+        stats = D.compute_norm_stats(gf)
+        init = D.normalize(gf.values[0], stats)
+        series, peak = traced_peak(R.rollout, Gain(1.0), init, 200, stats)
+        assert series.horizon_done == 200
+        assert peak < 1.3 * series.steps.nbytes, peak / series.steps.nbytes
 
     def test_static_channels_identical_at_every_lead(self):
         gf, stats, init = setup_world()

@@ -387,9 +387,9 @@ class TestTrainLoop:
         make, accumulate = E._make, E._accumulate
         written = []
 
-        def spy_make(out_data, parents, backward_fn, op):
+        def spy_make(out_data, op, *rules):
             assert out_data.flags.c_contiguous, f"{op} output strides {out_data.strides}"
-            return make(out_data, parents, backward_fn, op)
+            return make(out_data, op, *rules)
 
         def spy_accumulate(t, g):
             accumulate(t, g)
