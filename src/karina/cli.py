@@ -548,6 +548,10 @@ def cmd_rollout(cfg, out_dir):
         if end > MAX_DAY:
             raise CliError(f"rollout.horizon {horizon} ends on day {end}, past day {MAX_DAY}, "
                            f"the last a .grid file can stamp")
+        try:  # rollout holds every float32 step at once
+            np.empty((horizon,) + bundle.gf.values.shape[1:], dtype=np.float32)
+        except MemoryError:
+            raise CliError(f"rollout.horizon {horizon}: its steps do not fit in memory") from None
     z0 = normalize(bundle.gf.values[idx], bundle.stats)
     static = bundle.static_mask if cfg["rollout.static_reset"] else None
     series = rollout(model, z0, horizon, bundle.stats, static,

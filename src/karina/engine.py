@@ -577,18 +577,20 @@ def conv2d_valid(x, w, b, groups=1):
     in one _conv.
 
     Depthwise dx (Cin/G = 1, Cout = G) is a tap loop instead, with no
-    patch matrix and no BLAS: dx starts at +0, and for taps
-    t = i*K + j = K*K-1 down to 0 the window dx[..., i:i+Ho, j:j+Wo]
-    adds w[:, t] * g.  These are the bits of the formula above.  There
-    the flipped depthwise kernel reshapes to a strided view, so matmul
-    runs numpy's own loop: each element starts at +0 and adds each w*g
-    product in flipped-tap order, rounding each product and each add
-    once.  The tap loop adds the same products in the same order.  It
-    skips only the products against the zero padding, which are +-0, and
-    adding +-0 to a sum that starts at +0 never changes it.  A contiguous
-    copy of that kernel would go to OpenBLAS and move the bits, which is
-    why depthwise dx stays the tap loop.  The depthwise forward and dW
-    still run through BLAS.
+    patch matrix and no BLAS.  g is spread channel-major into rows < Ho
+    and columns < Wo of a zeroed (C, B*Hp*Wp) buffer, dx starts at +0 in
+    that layout, and for taps t = i*K + j = K*K-1 down to 0 the run
+    dx[:, s:], s = i*Wp + j, adds w[:, t] times the buffer's first
+    B*Hp*Wp - s columns; the products' buffer then takes dx batch-major,
+    so three padded inputs are live at most.  These are the bits of the
+    formula above.  There the flipped depthwise kernel reshapes to a
+    strided view, so matmul runs numpy's own loop: each element starts at
+    +0 and adds each w*g product in flipped-tap order, rounding each
+    product and each add once.  The runs add the same products in the
+    same order, plus products against the zero rows and columns that
+    part a run's rows and samples.  Like those against the zero padding
+    above, these are +-0 (w is finite, or the forward's output was not),
+    and adding +-0 to a sum that starts at +0 never changes it.
     """
     _same_dtype(x, w, "conv2d_valid")
     _same_dtype(x, b, "conv2d_valid")
@@ -624,13 +626,17 @@ def conv2d_valid(x, w, b, groups=1):
 
     def x_grad(g):
         if cin_g == 1 and cout == groups:
-            taps = wd.reshape(1, cout, k * k)
-            ho, wo = g.shape[2:]
-            dx = np.zeros(xd.shape, dtype=xd.dtype)
+            gs = np.zeros((cout, bsz, hp, wp), dtype=xd.dtype)
+            gs[:, :, :hp - k + 1, :wp - k + 1] = g.transpose(1, 0, 2, 3)
+            gs, taps = gs.reshape(cout, -1), wd.reshape(cout, k * k)
+            dx, tmp = np.zeros_like(gs), np.empty_like(gs)
             for t in range(k * k - 1, -1, -1):
-                i, j = divmod(t, k)
-                dx[:, :, i:i + ho, j:j + wo] += taps[..., t, None, None] * g
-            return dx
+                s = t // k * wp + t % k
+                np.multiply(gs[:, :gs.shape[1] - s], taps[:, t, None], out=tmp[:, s:])
+                dx[:, s:] += tmp[:, s:]
+            out = tmp.reshape(xd.shape)
+            out[...] = dx.reshape(cout, bsz, hp, wp).transpose(1, 0, 2, 3)
+            return out
         wf = (wd.reshape(groups, cout // groups, cin_g, k, k)[..., ::-1, ::-1]
               .transpose(0, 2, 1, 3, 4).reshape(cin, cout // groups, k, k))
         gp = np.zeros((bsz, cout, hp + k - 1, wp + k - 1), dtype=g.dtype)

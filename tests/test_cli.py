@@ -602,6 +602,19 @@ class TestRolloutCommand:
         last = data.read_grid(str(fits / "forecast_003.grid"))
         assert last.dates.tolist() == [data.MAX_DAY]
 
+    def test_horizon_whose_steps_cannot_fit_writes_nothing(self, tmp_path, capsys):
+        """rollout holds every step; a horizon of 4e9 steps on the 12x24 grid
+        needs about 17 TiB, so it is a config error before anything runs."""
+        ckpt = self.make_checkpoint(tmp_path)
+        out = tmp_path / "ro"
+        code = cli.main(["rollout", "--out", str(out), *SMOKE,
+                         "--set", f"rollout.checkpoint={ckpt}",
+                         "--set", "rollout.horizon=4000000000"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: rollout.horizon 4000000000: its steps do not fit in memory\n")
+        assert list(out.iterdir()) == []
+
     def test_init_day_out_of_range(self, tmp_path, capsys):
         ckpt = self.make_checkpoint(tmp_path)
         code = cli.main(["rollout", "--out", str(tmp_path / "ro"), *SMOKE,

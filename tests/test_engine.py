@@ -404,6 +404,27 @@ class TestConvBlocks:
             tracemalloc.stop()
         assert peak < y.data.nbytes + 2 * E._PATCH_BYTES, peak
 
+    def test_depthwise_x_grad_peaks_within_three_padded_inputs(self):
+        """Depthwise dx at the paper's stage 1 (1x96x36x72) holds the
+        spread g, the sums and the products, each the padded input's size,
+        and returns the sums in the products' buffer: under 3.25 times the
+        padded input, where ROADMAP's 2 GB paper-scale target allows 4."""
+        rng = np.random.default_rng(5)
+        x = E.Parameter(rng.standard_normal((1, 96, 42, 78)).astype(np.float32), "x")
+        w = E.Tensor(rng.standard_normal((96, 1, 7, 7)).astype(np.float32))
+        b = E.Tensor(np.zeros(96, dtype=np.float32))
+        y = E.conv2d_valid(x, w, b, groups=96)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y._backward_fn(g)  # x is the one parent that takes a gradient
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.data.shape
+        assert peak < 3.25 * x.data.nbytes, peak / x.data.nbytes
+
 
 class TestPad2d:
     def setup_method(self):

@@ -3,12 +3,15 @@ conv gradients bit for bit against their contracts (dx is conv's own
 forward on the padded upstream gradient with the flipped, in/out-swapped
 kernel; the w and b gradients add per-sample GEMMs left to right),
 depthwise dx bit for bit against its tap-loop arithmetic on every
-OpenBLAS kernel, exact roll equivariance of float32 pad+conv, and the padding tables
-against the walk-the-sphere oracle.  Damaged `.grid` and `.krna`
+OpenBLAS kernel and on edge shapes, the conv goldens and depthwise dx at
+numpy's X86_V2 SIMD level, exact roll equivariance of float32 pad+conv,
+and the padding tables against the walk-the-sphere oracle.  Damaged `.grid` and `.krna`
 files either load or raise the reader's own error.
 
 Examples are derandomized, so every run draws the same cases.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,13 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from blas_helpers import run_per_core
+from blas_helpers import run_at_x86_v2, run_per_core
 from karina import engine as E
 from karina import layers as L
 from karina.data import DataError, GridFile, read_grid, write_grid
 from karina.model import ModelConfig, ModelError, build, load_checkpoint, save_checkpoint
 from karina.padding import PaddingMode, index_map
 from test_engine import conv_oracle
+from test_golden import CONV_GOLDEN, conv_bits
 from test_padding import oracle_pad
 
 
@@ -200,6 +204,63 @@ def test_depthwise_x_grad_bits_hold_on_every_blas_kernel():
     lines = {core: out.splitlines() for core, out in runs.items()}
     assert all(line.startswith("True ") for out in lines.values() for line in out), lines
     assert len({tuple(out) for out in lines.values()}) == 1, lines
+
+
+def conv_and_depthwise_digests():
+    """The four conv goldens' digests (output, dx, dW, db) and, per
+    depthwise oracle case, whether dx equals the tap loop plus its sha256."""
+    lines = [" ".join((case, *conv_bits(*CONV_GOLDEN[case][0]))) for case in sorted(CONV_GOLDEN)]
+    for case in DEPTHWISE_CORE_CASES:
+        w, g = depthwise_case(*case)
+        got = depthwise_x_grad(w, g).tobytes()
+        lines.append(f"{got == depthwise_x_grad_loop(w, g).tobytes()} {hashlib.sha256(got).hexdigest()}")
+    return lines
+
+
+def test_conv_and_depthwise_x_grad_bits_hold_at_numpy_x86_v2():
+    """The same bytes with numpy's ufuncs on their X86_V2 loops as at the
+    default level: conv arithmetic outside BLAS is elementwise multiplies
+    and adds, each rounded once whatever the vector width.  The
+    checkpoint golden is left out: at X86_V2 it moves, because GELU's
+    float32 exp rounds by SIMD level (ROADMAP item 2)."""
+    out = run_at_x86_v2("from test_properties import conv_and_depthwise_digests\n"
+                        "print(*conv_and_depthwise_digests(), sep='\\n')\n")
+    if out is None:
+        pytest.skip("numpy still dispatches above X86_V2 with those targets disabled")
+    assert out.splitlines() == conv_and_depthwise_digests()
+
+
+# (bsz, c, k, ho, wo): a single output row, a single output column, one
+# sample, one channel, each K, the two BENCH depthwise convs (batch 4,
+# 16x32, stage dims 8 and 16) and the paper's stage 1 at 36x72.  Depthwise
+# dx runs over one flat (C, B*Hp*Wp) run per channel, so these are the
+# shapes where a run's gap rows and columns are thinnest or absent.
+DEPTHWISE_EDGE_CASES = [(1, 1, 1, 1, 1), (1, 1, 3, 1, 1), (1, 1, 7, 1, 1), (3, 2, 1, 4, 5),
+                        (3, 4, 7, 1, 9), (3, 4, 7, 9, 1), (4, 3, 3, 1, 1), (1, 5, 3, 6, 7),
+                        (3, 1, 7, 5, 6), (4, 8, 7, 16, 32), (4, 16, 7, 16, 32),
+                        (1, 96, 7, 36, 72)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bsz, c, k, ho, wo", DEPTHWISE_EDGE_CASES)
+def test_depthwise_x_grad_is_the_tap_loop_bits_on_edge_shapes(bsz, c, k, ho, wo, dtype):
+    w, g = depthwise_case(bsz, c, k, ho - 1, wo - 1, dtype, seed=bsz * 1000 + c * 10 + k)
+    got, want = depthwise_x_grad(w, g), depthwise_x_grad_loop(w, g)
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c, k, ho, wo", [(8, 7, 16, 32), (4, 7, 1, 9), (4, 7, 9, 1),
+                                          (3, 3, 1, 1), (2, 1, 4, 5)])
+def test_depthwise_x_grad_runs_do_not_leak_across_samples_or_channels(c, k, ho, wo, dtype):
+    w, g = depthwise_case(4, c, k, ho - 1, wo - 1, dtype, seed=c * 10 + k)
+    batch = depthwise_x_grad(w, g)
+    for n in range(4):
+        assert batch[n].tobytes() == depthwise_x_grad(w, g[n:n + 1])[0].tobytes(), n
+    for ch in range(c):
+        alone = depthwise_x_grad(w[ch:ch + 1], g[:, ch:ch + 1])
+        assert batch[:, ch].tobytes() == alone[:, 0].tobytes(), ch
 
 
 @FIXED
