@@ -250,8 +250,8 @@ class TestTrainCommand:
         assert last.split(",")[4] != ""
 
     @pytest.mark.parametrize("rate,digest", [
-        (0.1, "8977280878cde3e93793435df2535cc6d8c92c62d770c708e30418b648bf8491"),
-        (0.4, "99328245272c3075cf9827004fb1f06b881ddd001b35e3939eaa6be24abd466e"),
+        (0.1, "cb5f7e33bf7d2482ee5334fe6535ebcf89b509a6193cd3e94cdd078ef945081d"),
+        (0.4, "583952eaa1d207dfa21da0a1bf38a26b35c6d6369135f3bbf4de556722429983"),
     ], ids=["rate0.1", "rate0.4"])
     def test_drop_path_checkpoint_bits_pinned(self, tmp_path, rate, digest):
         # three blocks over two stages; the validation split runs

@@ -133,6 +133,56 @@ class TestActivations:
             assert_grad_matches(lambda op=op, x=x: E.sum_all(op(x)), [x])
 
 
+class TestFloat32Gelu:
+    """The float32 GELU's stated accuracy, and bytes that depend neither
+    on recording nor on how an array splits into blocks."""
+
+    def setup_method(self):
+        self.x = np.linspace(-8.0, 8.0, 400_001).astype(np.float32)
+        x = self.x.astype(np.float64)
+        self.cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+        self.pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    def test_cdf_within_3e_7_of_erf(self):
+        x = self.x
+        p = np.empty_like(x)
+        E._cdf32(x, p, np.empty_like(x), np.empty_like(x), np.empty_like(x))
+        assert np.abs(p - self.cdf).max() <= 3e-7
+
+    def test_slope_within_5e_7(self):
+        x = E.Parameter(self.x.copy(), "x")
+        E.backward(E.sum_all(E.gelu(x)))  # upstream 1, so x.grad is the slope
+        x64 = self.x.astype(np.float64)
+        assert np.abs(x.grad - (self.cdf + x64 * self.pdf)).max() <= 5e-7
+
+    def test_output_bytes_same_recorded_and_under_no_grad(self):
+        x = E.Parameter(np.random.default_rng(5).standard_normal((2, 8, 8, 16))
+                        .astype(np.float32) * 3, "x")
+        recorded = E.gelu(x)
+        assert recorded.requires_grad
+        with E.no_grad():
+            assert E.gelu(x).data.tobytes() == recorded.data.tobytes()
+
+    def test_bytes_same_for_an_array_as_for_its_pieces(self):
+        n = 2 * E._GELU_BLOCK + 12_345
+        x = (np.random.default_rng(6).standard_normal(n) * 4).astype(np.float32)
+        out, slope = E._gelu32(x, True)
+        cuts = [0, 1, 1000, E._GELU_BLOCK + 7, n - 3, n]
+        for lo, hi in zip(cuts, cuts[1:]):
+            piece_out, piece_slope = E._gelu32(x[lo:hi].copy(), True)
+            assert piece_out.tobytes() == out[lo:hi].tobytes()
+            assert piece_slope.tobytes() == slope[lo:hi].tobytes()
+        with E.no_grad():
+            assert E.gelu(E.Tensor(x)).data.tobytes() == out.tobytes()
+
+    def test_empty_input(self):
+        x = E.Parameter(np.zeros((0, 4), dtype=np.float32), "x")
+        E.backward(E.sum_all(E.gelu(x)))
+        assert x.grad.shape == (0, 4)
+        with E.no_grad():
+            assert E.gelu(E.Tensor(x.data)).data.shape == (0, 4)
+
+
 class TestReductions:
     def setup_method(self):
         self.rng = np.random.default_rng(13)
@@ -555,6 +605,30 @@ class TestBackwardSemantics:
         assert ref() is None
         assert s.grad is None
         assert loss.grad is not None and x.grad is not None
+
+    @pytest.mark.parametrize("op,same", [(E.add, False), (E.add, True), (E.sub, True)],
+                             ids=["add-a-b", "add-a-a", "sub-a-a"])
+    def test_first_grads_share_no_memory(self, op, same):
+        # the upstream g reaching op is mul's fresh product, which y's
+        # grad adopts; add and sub hand that g on, and neither parent may
+        # keep it or share a .grad with the other
+        a = E.Parameter(self.rng.standard_normal((3, 4)), "a")
+        b = a if same else E.Parameter(self.rng.standard_normal((3, 4)), "b")
+        w = E.Parameter(self.rng.standard_normal((3, 4)), "w")
+        y = op(a, b)
+        y_data = y.data.copy()
+        E.backward(E.sum_all(E.mul(y, w)))
+        if same:
+            want = w.data + w.data if op is E.add else w.data + -w.data
+            assert np.array_equal(a.grad, want)
+            grads = [a.grad, w.grad]
+        else:
+            assert np.array_equal(a.grad, w.data) and np.array_equal(b.grad, w.data)
+            grads = [a.grad, b.grad, w.grad]
+        assert np.array_equal(w.grad, y_data)
+        for g, h in itertools.combinations(grads, 2):
+            assert not np.shares_memory(g, h)
+        assert not any(np.shares_memory(g, t) for g in grads for t in (a.data, b.data, w.data))
 
     def test_bench_step_backward_frees_its_graph(self):
         # the BENCH step: batch 4 on the 16x32 grid, four channels, stage

@@ -2,13 +2,15 @@
 
 The output, w-gradient and b-gradient hashes date from the per-branch
 kernel that preceded the one batched matmul over a groups axis.  The
-x-gradient hashes of the K > 1 cases and the checkpoint hash date from
-the change that made dx the forward contraction on the padded upstream
-gradient.  A kernel rewrite that moves any of them is not
-bit-preserving, and must say which values moved and why.  The hashes
-are facts about numpy's bundled OpenBLAS on x86-64 with its SkylakeX
-kernel: other kernels (Haswell, Sandybridge) and other BLAS libraries
-may round a GEMM differently, so a mismatch names the active core.
+x-gradient hashes of the K > 1 cases date from the change that made dx
+the forward contraction on the padded upstream gradient, and the
+checkpoint hash from the float32 GELU in explicit arithmetic, which
+made it the same at numpy's X86_V2 SIMD level.  A kernel rewrite that
+moves any of them is not bit-preserving, and must say which values
+moved and why.  The hashes are facts about numpy's bundled OpenBLAS on
+x86-64 with its SkylakeX kernel: other kernels (Haswell, Sandybridge)
+and other BLAS libraries may round a GEMM differently, so a mismatch
+names the active core.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from blas_helpers import openblas_core
+from blas_helpers import openblas_core, run_at_x86_v2
 from karina import cli
 from karina import engine as E
 
@@ -69,5 +71,29 @@ def test_one_epoch_checkpoint_bits(tmp_path):
     blob = (tmp_path / "checkpoint.krna").read_bytes()
     assert len(blob) == 11644
     assert hashlib.sha256(blob).hexdigest() == (
-        "f4dd98b3a67995c0c703fa8237e9e48d7b67e42c3c249d71dfb9f6d5768bd206"
+        "3591a37ddbb546d31a74a63a695ae61de900dac8db79d8d40213d0f60132a781"
     ), f"OpenBLAS core {openblas_core()}"
+
+
+def one_epoch_checkpoint_sha256(out):
+    """Train the pinned one-epoch run above into out; its checkpoint's sha256."""
+    assert cli.main([
+        "train", "--out", str(out), "--seed", "3",
+        "--set", "model.stage_dims=4,8", "--set", "model.depths=1,1",
+        "--set", "synth.n_lat=8", "--set", "synth.n_lon=16",
+        "--set", "data.train_days=16", "--set", "data.test_days=4",
+        "--set", "train.epochs=1", "--set", "train.batch_size=4",
+    ]) == 0
+    return hashlib.sha256((out / "checkpoint.krna").read_bytes()).hexdigest()
+
+
+def test_one_epoch_checkpoint_bits_hold_at_numpy_x86_v2(tmp_path):
+    """The checkpoint comes out the same with numpy's ufuncs on their
+    X86_V2 loops as at the default level: GELU's float32 arithmetic is
+    rounded the same whatever the vector width."""
+    out = run_at_x86_v2("import pathlib\n"
+                        "from test_golden import one_epoch_checkpoint_sha256\n"
+                        f"print(one_epoch_checkpoint_sha256(pathlib.Path({str(tmp_path / 'v2')!r})))\n")
+    if out is None:
+        pytest.skip("numpy still dispatches above X86_V2 with those targets disabled")
+    assert out.splitlines()[-1] == one_epoch_checkpoint_sha256(tmp_path / "default")

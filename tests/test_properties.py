@@ -221,8 +221,7 @@ def test_conv_and_depthwise_x_grad_bits_hold_at_numpy_x86_v2():
     """The same bytes with numpy's ufuncs on their X86_V2 loops as at the
     default level: conv arithmetic outside BLAS is elementwise multiplies
     and adds, each rounded once whatever the vector width.  The
-    checkpoint golden is left out: at X86_V2 it moves, because GELU's
-    float32 exp rounds by SIMD level (ROADMAP item 2)."""
+    checkpoint golden has its own X86_V2 test in test_golden."""
     out = run_at_x86_v2("from test_properties import conv_and_depthwise_digests\n"
                         "print(*conv_and_depthwise_digests(), sep='\\n')\n")
     if out is None:
