@@ -276,7 +276,7 @@ def _load_model(cfg, key, bundle):
     path = cfg[key]
     if not path:
         raise CliError(f"{key} is required")
-    model = load_checkpoint(path)
+    model = load_checkpoint(path, seed=cfg["seed"])
     c = len(bundle.gf.channels)
     if model.config.in_channels != c or model.config.out_channels != c:
         raise CliError(

@@ -6,10 +6,11 @@ that gives that parent's gradient, plus the rule that adds it into the
 parent's .grad: _accumulate, or _accumulate_samples where the
 micro-batch contract below needs it.  A tensor requires grad when it is
 a Parameter or a recorded output.  An op records only outside no_grad
-and when some parent requires grad, and its backward calls the gradient
-function of each parent that does, in parent order, and of no other.
+and when some parent requires grad; its output keeps those rules.
 backward() walks the recorded graph once in reverse topological order,
-freeing it as it goes.  64-bit arrays are the verification dtype (finite
+freeing it as it goes, and applies each node's rules: the gradient
+function of each parent that requires grad, in parent order, and of no
+other.  64-bit arrays are the verification dtype (finite
 differences behave), 32-bit the training dtype; ops never mix the two
 silently.
 
@@ -93,7 +94,7 @@ def _same_shape(a, b, op):
 class Tensor:
     """A dense array plus optional gradient bookkeeping."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward_fn", "_op")
+    __slots__ = ("data", "grad", "_rules", "_op")
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -101,14 +102,13 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
-        self._parents = ()
-        self._backward_fn = None
+        self._rules = None
         self._op = "leaf"
 
     @property
     def requires_grad(self):
         """True for a recorded output; a Parameter always requires grad."""
-        return self._backward_fn is not None
+        return self._rules is not None
 
     @property
     def shape(self):
@@ -120,22 +120,15 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self):
-        tag = self._op if self._backward_fn is not None else "leaf"
+        tag = self._op if self._rules is not None else "leaf"
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={tag})"
 
 
 class Parameter(Tensor):
-    """Trainable leaf tensor with a path-like name, e.g. 'stages.0.blocks.1.dwconv.weight'."""
+    """Trainable leaf tensor; its name is its path in the module tree."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
     requires_grad = True
-
-    def __init__(self, data, name):
-        super().__init__(data)
-        self.name = str(name)
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.data.shape}, dtype={self.data.dtype})"
 
 
 def _accumulate(t, g):
@@ -190,35 +183,27 @@ def _make(out_data, op, *rules):
     out = Tensor(out_data)
     out._op = op
     if _records(*(p for p, _, _ in rules)):
-        def bwd(g):
-            g = np.asarray(g).view()
-            g.flags.writeable = False
-            for p, grad, accumulate in rules:
-                if p.requires_grad:
-                    accumulate(p, grad(g))
-
-        out._parents = tuple(p for p, _, _ in rules)
-        out._backward_fn = bwd
+        out._rules = rules
     return out
 
 
-def _consumed(g):
-    raise BackwardError("backward() already consumed this graph; run a fresh forward pass first")
+_CONSUMED = object()  # the rules of a node backward() has walked
 
 
 def backward(loss):
     """Run reverse-mode accumulation from a scalar loss, consuming its graph.
 
-    Seeds d(loss)/d(loss) = 1 and calls each recorded closure once, in
-    reverse topological order.  Grads add into .grad; leaves that cannot
-    reach the loss keep grad=None.  The walk consumes the graph: closures,
-    parent links and intermediate .grads are dropped as it goes, and only
-    leaf and loss grads survive.  A walk into a consumed node raises, as
-    does a loss with no recorded graph, a leaf included.
+    Seeds d(loss)/d(loss) = 1 and applies each node's rules once, in
+    reverse topological order, to a read-only view of its .grad.  Grads
+    add into .grad; leaves that cannot reach the loss keep grad=None.
+    The walk consumes the graph: rules and intermediate .grads are
+    dropped as it goes, and only leaf and loss grads survive.  A walk
+    into a consumed node raises, as does a loss with no recorded graph,
+    a leaf included.
     """
     if loss.data.size != 1:
         raise BackwardError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
-    if loss._backward_fn is None:
+    if loss._rules is None:
         raise BackwardError("backward() on a tensor with no recorded graph")
 
     topo = []
@@ -231,18 +216,24 @@ def backward(loss):
             continue
         if id(node) in seen:
             continue
+        if node._rules is _CONSUMED:
+            raise BackwardError("backward() already consumed this graph; "
+                                "run a fresh forward pass first")
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p._backward_fn is not None and id(p) not in seen:
+        for p, _, _ in node._rules:
+            if p._rules is not None and id(p) not in seen:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
-        fn = node._backward_fn
-        node._backward_fn, node._parents = _consumed, ()
-        fn(node.grad)
+        rules, node._rules = node._rules, _CONSUMED
+        g = np.asarray(node.grad).view()
+        g.flags.writeable = False
+        for p, grad, accumulate in rules:
+            if p.requires_grad:
+                accumulate(p, grad(g))
         if node is not loss:
             node.grad = None
 

@@ -52,11 +52,6 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def assign_names(self, prefix=""):
-        """Stamp each parameter's .name with its full dotted path."""
-        for name, p in self.named_parameters(prefix):
-            p.name = name
-
 
 class Conv2d(Module):
     """Same-size convolution: boundary pad by (k-1)/2, then valid correlation."""
@@ -75,8 +70,8 @@ class Conv2d(Module):
         self.groups = int(groups)
         self.padding_mode = padding_mode
         w = trunc_normal(rng, (out_channels, in_channels // groups, kernel, kernel))
-        self.weight = engine.Parameter(w.astype(dtype), "weight")
-        self.bias = engine.Parameter(np.zeros(out_channels, dtype=dtype), "bias")
+        self.weight = engine.Parameter(w.astype(dtype))
+        self.bias = engine.Parameter(np.zeros(out_channels, dtype=dtype))
 
     def __call__(self, x):
         if self.kernel > 1:
@@ -88,8 +83,8 @@ class LayerNormChannels(Module):
     """Per-location normalization over channels with learnable gain and shift."""
 
     def __init__(self, channels, dtype=np.float32):
-        self.gamma = engine.Parameter(np.ones(channels, dtype=dtype), "gamma")
-        self.beta = engine.Parameter(np.zeros(channels, dtype=dtype), "beta")
+        self.gamma = engine.Parameter(np.ones(channels, dtype=dtype))
+        self.beta = engine.Parameter(np.zeros(channels, dtype=dtype))
 
     def __call__(self, x):
         return engine.layer_norm_channels(x, self.gamma, self.beta)
@@ -106,12 +101,10 @@ class SEBlock(Module):
         if rng is None:
             rng = np.random.default_rng(0)
         hidden = channels // reduction
-        self.fc1_weight = engine.Parameter(
-            trunc_normal(rng, (hidden, channels)).astype(dtype), "fc1_weight")
-        self.fc1_bias = engine.Parameter(np.zeros(hidden, dtype=dtype), "fc1_bias")
-        self.fc2_weight = engine.Parameter(
-            trunc_normal(rng, (channels, hidden)).astype(dtype), "fc2_weight")
-        self.fc2_bias = engine.Parameter(np.zeros(channels, dtype=dtype), "fc2_bias")
+        self.fc1_weight = engine.Parameter(trunc_normal(rng, (hidden, channels)).astype(dtype))
+        self.fc1_bias = engine.Parameter(np.zeros(hidden, dtype=dtype))
+        self.fc2_weight = engine.Parameter(trunc_normal(rng, (channels, hidden)).astype(dtype))
+        self.fc2_bias = engine.Parameter(np.zeros(channels, dtype=dtype))
 
     def __call__(self, x):
         pooled = engine.global_avg_pool(x)
@@ -150,8 +143,7 @@ class ConvNextBlock(Module):
                               padding_mode=padding_mode, rng=rng, dtype=dtype)
         self.pwconv2 = Conv2d(4 * dim, dim, 1,
                               padding_mode=padding_mode, rng=rng, dtype=dtype)
-        self.gamma = engine.Parameter(
-            np.full(dim, layer_scale_init, dtype=dtype), "gamma")
+        self.gamma = engine.Parameter(np.full(dim, layer_scale_init, dtype=dtype))
 
     def __call__(self, x, factors=None):
         t = self.dwconv(x)

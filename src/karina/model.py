@@ -139,7 +139,6 @@ class KarinaModel(Module):
         self.stages = stages
         self.final = Conv2d(dims[-1], dims[-1], 3, padding_mode=mode, rng=rng, dtype=dtype)
         self.head = Conv2d(dims[-1], config.out_channels, 1, padding_mode=mode, rng=rng, dtype=dtype)
-        self.assign_names()
 
     @property
     def mode(self):
@@ -228,15 +227,16 @@ def _read_checkpoint(fh):
     return config, stored
 
 
-def load_checkpoint(path):
-    """Rebuild the float32 model a checkpoint describes and fill its
-    parameters.  An unreadable path raises ModelError naming it."""
+def load_checkpoint(path, seed=0):
+    """Rebuild the float32 model a checkpoint describes, drawing its
+    stochastic depth from seed as build does, and fill its parameters.
+    An unreadable path raises ModelError naming it."""
     try:
         with open(path, "rb") as fh:
             config, stored = _read_checkpoint(fh)
     except OSError as err:
         raise ModelError(f"cannot read checkpoint {path}: {err}") from None
-    model = KarinaModel(config)
+    model = KarinaModel(config, seed=seed)
     model_named = dict(model.named_parameters())
     missing = sorted(set(model_named) - set(stored))
     extra = sorted(set(stored) - set(model_named))

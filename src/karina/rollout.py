@@ -34,8 +34,8 @@ class RolloutError(Exception):
 def model_fingerprint(model):
     """Stable hex id of the exact parameter values."""
     digest = hashlib.sha256()
-    for p in model.parameters():
-        digest.update(p.name.encode("utf-8"))
+    for name, p in model.named_parameters():
+        digest.update(name.encode("utf-8"))
         digest.update(p.data.tobytes())
     return digest.hexdigest()[:16]
 

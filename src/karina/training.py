@@ -116,50 +116,40 @@ ADAM_EPS = 1e-8
 
 
 class OptimizerState:
-    """Per-parameter moment buffers keyed by parameter name."""
+    """The model's parameters in module-tree order, each with its path
+    and its moment buffers, zeroed when built."""
 
-    def __init__(self):
-        self.m = {}
-        self.v = {}
+    def __init__(self, named_parameters):
+        self.named = list(named_parameters)
+        self.m = [np.zeros_like(p.data) for _, p in self.named]
+        self.v = [np.zeros_like(p.data) for _, p in self.named]
         self.step_count = 0
 
 
-def adamw_step(params, state, lr, weight_decay=0.05):
-    """One decoupled-weight-decay Adam update, in place.
+def adamw_step(state, lr, weight_decay=0.05):
+    """One decoupled-weight-decay Adam update of state's parameters, in place.
 
     Decay first (theta <- theta - lr*wd*theta), then the bias-corrected
     adaptive step from the accumulated gradients.
     """
-    params = list(params)
-    for p in params:
+    for name, p in state.named:
         if p.grad is None:
-            raise TrainingError(f"parameter {p.name} has no gradient")
-    names = [p.name for p in params]
-    if len(set(names)) != len(names):
-        raise TrainingError("optimizer needs uniquely named parameters")
+            raise TrainingError(f"parameter {name} has no gradient")
 
     b1, b2 = ADAM_BETAS
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    for name, p in zip(names, params):
+    for (_, p), m, v in zip(state.named, state.m, state.v):
         g = p.grad
         dt = p.data.dtype.type
         if weight_decay:
             p.data *= dt(1.0 - lr * weight_decay)
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        else:
-            v = state.v[name]
-            if m.shape != p.data.shape:
-                raise TrainingError(f"optimizer state shape mismatch for {name}")
-        m = dt(b1) * m + dt(1.0 - b1) * g
-        v = dt(b2) * v + dt(1.0 - b2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
+        m *= dt(b1)
+        m += dt(1.0 - b1) * g
+        v *= dt(b2)
+        v += dt(1.0 - b2) * (g * g)
         mhat = m / dt(bc1)
         vhat = v / dt(bc2)
         p.data -= dt(lr) * mhat / (np.sqrt(vhat) + dt(ADAM_EPS))
@@ -221,7 +211,7 @@ def train(model, pairs, cfg, val_pairs=None, loss_weights=None):
             f"pair arrays disagree: {pairs.x.shape} vs {pairs.y.shape}"
         )
     _keep_freed_heap()
-    state = OptimizerState()
+    state = OptimizerState(model.named_parameters())
     params = model.parameters()
     rng = np.random.default_rng(cfg.seed)
     report = TrainReport()
@@ -243,7 +233,7 @@ def train(model, pairs, cfg, val_pairs=None, loss_weights=None):
                 raise TrainingError(
                     f"non-finite value at epoch {epoch} batch {bi}: {err}"
                 ) from err
-            adamw_step(params, state, lr, cfg.weight_decay)
+            adamw_step(state, lr, cfg.weight_decay)
             loss_sum += loss.item() * xb.shape[0]
             global_step += 1
         val = None

@@ -63,10 +63,8 @@ class TestTensorBasics:
         with pytest.raises(E.ShapeError):
             E.Tensor(np.zeros(3)).item()
 
-    def test_parameter_keeps_name_and_requires_grad(self):
-        p = E.Parameter(np.zeros((2, 2)), "stages.0.blocks.1.dwconv.weight")
-        assert p.requires_grad
-        assert p.name == "stages.0.blocks.1.dwconv.weight"
+    def test_parameter_requires_grad(self):
+        assert E.Parameter(np.zeros((2, 2))).requires_grad
 
     def test_mixed_dtypes_rejected(self):
         a = E.Tensor(np.zeros(3, dtype=np.float32))
@@ -95,8 +93,8 @@ class TestElementwise:
         assert np.array_equal(E.scale(E.Tensor(a), -1.5).data, a * -1.5)
 
     def test_elementwise_grads(self):
-        a = E.Parameter(self.rng.standard_normal((3, 4)), "a")
-        b = E.Parameter(self.rng.standard_normal((3, 4)), "b")
+        a = E.Parameter(self.rng.standard_normal((3, 4)))
+        b = E.Parameter(self.rng.standard_normal((3, 4)))
         assert_grad_matches(lambda: E.sum_all(E.mul(E.add(a, b), E.sub(a, b))), [a, b])
 
 
@@ -129,7 +127,7 @@ class TestActivations:
 
     def test_activation_grads(self):
         for op in (E.gelu, E.relu, E.sigmoid):
-            x = E.Parameter(self.rng.standard_normal((4, 5)) + 0.3, "x")
+            x = E.Parameter(self.rng.standard_normal((4, 5)) + 0.3)
             assert_grad_matches(lambda op=op, x=x: E.sum_all(op(x)), [x])
 
 
@@ -150,14 +148,14 @@ class TestFloat32Gelu:
         assert np.abs(p - self.cdf).max() <= 3e-7
 
     def test_slope_within_5e_7(self):
-        x = E.Parameter(self.x.copy(), "x")
+        x = E.Parameter(self.x.copy())
         E.backward(E.sum_all(E.gelu(x)))  # upstream 1, so x.grad is the slope
         x64 = self.x.astype(np.float64)
         assert np.abs(x.grad - (self.cdf + x64 * self.pdf)).max() <= 5e-7
 
     def test_output_bytes_same_recorded_and_under_no_grad(self):
         x = E.Parameter(np.random.default_rng(5).standard_normal((2, 8, 8, 16))
-                        .astype(np.float32) * 3, "x")
+                        .astype(np.float32) * 3)
         recorded = E.gelu(x)
         assert recorded.requires_grad
         with E.no_grad():
@@ -176,7 +174,7 @@ class TestFloat32Gelu:
             assert E.gelu(E.Tensor(x)).data.tobytes() == out.tobytes()
 
     def test_empty_input(self):
-        x = E.Parameter(np.zeros((0, 4), dtype=np.float32), "x")
+        x = E.Parameter(np.zeros((0, 4), dtype=np.float32))
         E.backward(E.sum_all(E.gelu(x)))
         assert x.grad.shape == (0, 4)
         with E.no_grad():
@@ -217,7 +215,7 @@ class TestReductions:
         assert np.allclose(got, x.mean(axis=(1, 2)), rtol=1e-14, atol=0)
 
     def test_reduction_grads(self):
-        x = E.Parameter(self.rng.standard_normal((2, 3, 4, 5)), "x")
+        x = E.Parameter(self.rng.standard_normal((2, 3, 4, 5)))
         assert_grad_matches(lambda: E.mean_all(E.gelu(E.global_avg_pool(x))), [x])
 
 
@@ -251,9 +249,9 @@ class TestLayerNorm:
             E.layer_norm_channels(x, E.Tensor(np.ones(4)), E.Tensor(np.zeros(5)))
 
     def test_grads(self):
-        x = E.Parameter(self.rng.standard_normal((2, 4, 3, 3)), "x")
-        gm = E.Parameter(self.rng.standard_normal(4), "gm")
-        bt = E.Parameter(self.rng.standard_normal(4), "bt")
+        x = E.Parameter(self.rng.standard_normal((2, 4, 3, 3)))
+        gm = E.Parameter(self.rng.standard_normal(4))
+        bt = E.Parameter(self.rng.standard_normal(4))
         assert_grad_matches(
             lambda: E.mean_all(E.gelu(E.layer_norm_channels(x, gm, bt))), [x, gm, bt]
         )
@@ -280,9 +278,9 @@ class TestLinear:
                      E.Tensor(np.zeros(3)))
 
     def test_grads(self):
-        x = E.Parameter(self.rng.standard_normal((4, 5)), "x")
-        w = E.Parameter(self.rng.standard_normal((3, 5)), "w")
-        b = E.Parameter(self.rng.standard_normal(3), "b")
+        x = E.Parameter(self.rng.standard_normal((4, 5)))
+        w = E.Parameter(self.rng.standard_normal((3, 5)))
+        b = E.Parameter(self.rng.standard_normal(3))
         assert_grad_matches(lambda: E.sum_all(E.sigmoid(E.linear(x, w, b))), [x, w, b])
 
 
@@ -340,9 +338,9 @@ class TestConv:
     def test_grads(self, groups):
         cin = 4
         cout = 4
-        x = E.Parameter(self.rng.standard_normal((2, cin, 5, 6)), "x")
-        w = E.Parameter(self.rng.standard_normal((cout, cin // groups, 3, 3)) * 0.4, "w")
-        b = E.Parameter(self.rng.standard_normal(cout) * 0.1, "b")
+        x = E.Parameter(self.rng.standard_normal((2, cin, 5, 6)))
+        w = E.Parameter(self.rng.standard_normal((cout, cin // groups, 3, 3)) * 0.4)
+        b = E.Parameter(self.rng.standard_normal(cout) * 0.1)
         assert_grad_matches(
             lambda: E.mean_all(E.gelu(E.conv2d_valid(x, w, b, groups=groups))),
             [x, w, b],
@@ -363,9 +361,9 @@ def conv_case_bytes(case, dtype):
     """Forward, dx, dW and db bytes of one conv2d_valid and its backward."""
     bsz, cin, cout, groups, k, hp, wp = case
     rng = np.random.default_rng(17)
-    x = E.Parameter(rng.standard_normal((bsz, cin, hp, wp)).astype(dtype), "x")
-    w = E.Parameter(rng.standard_normal((cout, cin // groups, k, k)).astype(dtype), "w")
-    b = E.Parameter(rng.standard_normal(cout).astype(dtype), "b")
+    x = E.Parameter(rng.standard_normal((bsz, cin, hp, wp)).astype(dtype))
+    w = E.Parameter(rng.standard_normal((cout, cin // groups, k, k)).astype(dtype))
+    b = E.Parameter(rng.standard_normal(cout).astype(dtype))
     y = E.conv2d_valid(x, w, b, groups=groups)
     g = rng.standard_normal(y.shape).astype(dtype)
     E.backward(E.sum_all(E.mul(y, E.Tensor(g))))
@@ -424,9 +422,9 @@ class TestConvBlocks:
 
     def test_recorded_forward_holds_only_its_output(self):
         rng = np.random.default_rng(3)
-        x = E.Parameter(rng.standard_normal((2, 16, 22, 38)).astype(np.float32), "x")
-        w = E.Parameter(rng.standard_normal((16, 1, 7, 7)).astype(np.float32), "w")
-        b = E.Parameter(rng.standard_normal(16).astype(np.float32), "b")
+        x = E.Parameter(rng.standard_normal((2, 16, 22, 38)).astype(np.float32))
+        w = E.Parameter(rng.standard_normal((16, 1, 7, 7)).astype(np.float32))
+        b = E.Parameter(rng.standard_normal(16).astype(np.float32))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -460,15 +458,17 @@ class TestConvBlocks:
         and returns the sums in the products' buffer: under 3.25 times the
         padded input, where ROADMAP's 2 GB paper-scale target allows 4."""
         rng = np.random.default_rng(5)
-        x = E.Parameter(rng.standard_normal((1, 96, 42, 78)).astype(np.float32), "x")
+        x = E.Parameter(rng.standard_normal((1, 96, 42, 78)).astype(np.float32))
         w = E.Tensor(rng.standard_normal((96, 1, 7, 7)).astype(np.float32))
         b = E.Tensor(np.zeros(96, dtype=np.float32))
         y = E.conv2d_valid(x, w, b, groups=96)
         g = rng.standard_normal(y.shape).astype(np.float32)
+        g.flags.writeable = False
+        _, grad, accumulate = y._rules[0]  # x's rule; w and b take no gradient
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            y._backward_fn(g)  # x is the one parent that takes a gradient
+            accumulate(x, grad(g))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -497,7 +497,7 @@ class TestPad2d:
 
     def test_scatter_grad_with_duplicates(self):
         # duplicated sources must receive summed gradient
-        x = E.Parameter(self.rng.standard_normal((2, 3, 4)), "x")
+        x = E.Parameter(self.rng.standard_normal((2, 3, 4)))
         table = np.array([[0, 0, 0], [7, -1, 3], [11, 11, 5]], dtype=np.int64)
         c = E.Tensor(self.rng.standard_normal((2, 3, 3)))
         assert_grad_matches(lambda: E.sum_all(E.mul(E.pad2d(x, table), c)), [x])
@@ -508,7 +508,7 @@ class TestPad2d:
         # a[:, idx] would hand back a pixel-major gather
         table = index_map(3, (8, 16), mode)
         assert (table < 0).any() == (mode is not PaddingMode.GEOCYCLIC)
-        x = E.Parameter(self.rng.standard_normal(lead + (8, 16)).astype(np.float32), "x")
+        x = E.Parameter(self.rng.standard_normal(lead + (8, 16)).astype(np.float32))
         y = E.pad2d(x, table)
         assert y.data.flags.c_contiguous
         E.backward(E.sum_all(y))
@@ -532,17 +532,17 @@ class TestChannelAndSampleScale:
         assert np.array_equal(got, x * s[:, :, None, None])
 
     def test_channel_scale_grads(self):
-        x = E.Parameter(self.rng.standard_normal((2, 3, 4, 5)), "x")
-        s = E.Parameter(self.rng.standard_normal(3), "s")
+        x = E.Parameter(self.rng.standard_normal((2, 3, 4, 5)))
+        s = E.Parameter(self.rng.standard_normal(3))
         assert_grad_matches(lambda: E.mean_all(E.gelu(E.channel_scale(x, s))), [x, s])
 
     def test_per_sample_gate_grads(self):
-        x = E.Parameter(self.rng.standard_normal((2, 3, 4, 5)), "x")
-        s = E.Parameter(self.rng.standard_normal((2, 3)), "s")
+        x = E.Parameter(self.rng.standard_normal((2, 3, 4, 5)))
+        s = E.Parameter(self.rng.standard_normal((2, 3)))
         assert_grad_matches(lambda: E.mean_all(E.gelu(E.channel_scale(x, s))), [x, s])
 
     def test_sample_scale_forward_and_grad(self):
-        x = E.Parameter(self.rng.standard_normal((3, 2, 4, 4)), "x")
+        x = E.Parameter(self.rng.standard_normal((3, 2, 4, 4)))
         f = np.array([0.0, 1.0, 2.0])
         got = E.sample_scale(x, f).data
         assert np.array_equal(got, x.data * f[:, None, None, None])
@@ -554,27 +554,27 @@ class TestBackwardSemantics:
         self.rng = np.random.default_rng(97)
 
     def test_backward_twice_raises(self):
-        x = E.Parameter(self.rng.standard_normal(4), "x")
+        x = E.Parameter(self.rng.standard_normal(4))
         loss = E.sum_all(E.mul(x, x))
         E.backward(loss)
         with pytest.raises(E.BackwardError):
             E.backward(loss)
 
     def test_nonscalar_loss_raises(self):
-        x = E.Parameter(self.rng.standard_normal(4), "x")
+        x = E.Parameter(self.rng.standard_normal(4))
         with pytest.raises(E.BackwardError):
             E.backward(E.mul(x, x))
 
     def test_unreachable_parameter_keeps_none_grad(self):
-        x = E.Parameter(self.rng.standard_normal(4), "x")
-        y = E.Parameter(self.rng.standard_normal(4), "y")
+        x = E.Parameter(self.rng.standard_normal(4))
+        y = E.Parameter(self.rng.standard_normal(4))
         E.zero_grads([x, y])
         E.backward(E.sum_all(E.mul(x, x)))
         assert y.grad is None
         assert x.grad is not None
 
     def test_no_grad_records_nothing(self):
-        x = E.Parameter(self.rng.standard_normal(4), "x")
+        x = E.Parameter(self.rng.standard_normal(4))
         with E.no_grad():
             loss = E.sum_all(E.mul(x, x))
         assert not loss.requires_grad
@@ -582,7 +582,7 @@ class TestBackwardSemantics:
             E.backward(loss)
 
     def test_new_loss_on_a_consumed_intermediate_raises(self):
-        x = E.Parameter(self.rng.standard_normal(4), "x")
+        x = E.Parameter(self.rng.standard_normal(4))
         h = E.mul(x, x)
         E.backward(E.sum_all(h))
         with pytest.raises(E.BackwardError):
@@ -591,10 +591,10 @@ class TestBackwardSemantics:
     def test_leaf_loss_raises(self):
         # a leaf has no graph to walk, even one that requires grad
         with pytest.raises(E.BackwardError):
-            E.backward(E.Parameter(np.array(2.0), "s"))
+            E.backward(E.Parameter(np.array(2.0)))
 
     def test_intermediates_die_while_the_loss_lives(self):
-        x = E.Parameter(self.rng.standard_normal((2, 3, 6, 8)), "x")
+        x = E.Parameter(self.rng.standard_normal((2, 3, 6, 8)))
         s = E.scale(x, 2.0)
         h = E.gelu(s)
         ref = weakref.ref(h.data)
@@ -612,9 +612,9 @@ class TestBackwardSemantics:
         # the upstream g reaching op is mul's fresh product, which y's
         # grad adopts; add and sub hand that g on, and neither parent may
         # keep it or share a .grad with the other
-        a = E.Parameter(self.rng.standard_normal((3, 4)), "a")
-        b = a if same else E.Parameter(self.rng.standard_normal((3, 4)), "b")
-        w = E.Parameter(self.rng.standard_normal((3, 4)), "w")
+        a = E.Parameter(self.rng.standard_normal((3, 4)))
+        b = a if same else E.Parameter(self.rng.standard_normal((3, 4)))
+        w = E.Parameter(self.rng.standard_normal((3, 4)))
         y = op(a, b)
         y_data = y.data.copy()
         E.backward(E.sum_all(E.mul(y, w)))
@@ -652,7 +652,7 @@ class TestBackwardSemantics:
         assert peak < 1.75 * graph, (peak, graph)
 
     def test_grad_accumulates_across_graphs(self):
-        x = E.Parameter(self.rng.standard_normal(4), "x")
+        x = E.Parameter(self.rng.standard_normal(4))
         E.zero_grads([x])
         E.backward(E.sum_all(E.mul(x, x)))
         g1 = x.grad.copy()
@@ -664,7 +664,7 @@ class TestBackwardSemantics:
         # equals the two separate backwards summed, bit for bit: each
         # branch lands exactly one addend per parameter and float
         # addition commutes
-        w = E.Parameter(self.rng.standard_normal((3, 3, 3, 3)) * 0.3, "w")
+        w = E.Parameter(self.rng.standard_normal((3, 3, 3, 3)) * 0.3)
         b = E.Tensor(np.zeros(3))
         xa = self.rng.standard_normal((1, 3, 6, 6))
         xb = self.rng.standard_normal((1, 3, 6, 6))
@@ -687,7 +687,7 @@ class TestBackwardSemantics:
     def test_gradient_linearity_batched_close(self):
         # multi-sample branches reorder the per-sample addition chain, so
         # equality is to rounding rather than bitwise
-        w = E.Parameter(self.rng.standard_normal((3, 3, 3, 3)) * 0.3, "w")
+        w = E.Parameter(self.rng.standard_normal((3, 3, 3, 3)) * 0.3)
         b = E.Tensor(np.zeros(3))
         xa = self.rng.standard_normal((4, 3, 6, 6))
         xb = self.rng.standard_normal((4, 3, 6, 6))
@@ -707,10 +707,10 @@ class TestBackwardSemantics:
         assert np.allclose(combined, ga + gb, rtol=1e-13, atol=1e-15)
 
     def test_micro_batch_accumulation_bit_identical(self):
-        w = E.Parameter(self.rng.standard_normal((4, 3, 3, 3)) * 0.3, "w")
-        b = E.Parameter(self.rng.standard_normal(4) * 0.1, "b")
-        gm = E.Parameter(np.ones(4), "gm")
-        bt = E.Parameter(np.zeros(4), "bt")
+        w = E.Parameter(self.rng.standard_normal((4, 3, 3, 3)) * 0.3)
+        b = E.Parameter(self.rng.standard_normal(4) * 0.1)
+        gm = E.Parameter(np.ones(4))
+        bt = E.Parameter(np.zeros(4))
         params = [w, b, gm, bt]
         x = self.rng.standard_normal((6, 3, 6, 8))
 
@@ -729,8 +729,8 @@ class TestBackwardSemantics:
             for n in split:
                 E.backward(loss_of(x[offset:offset + n]))
                 offset += n
-            for ref, p in zip(full, params):
-                assert np.array_equal(ref, p.grad), f"split {split} diverged on {p.name}"
+            for i, (ref, p) in enumerate(zip(full, params)):
+                assert np.array_equal(ref, p.grad), f"split {split} diverged on params[{i}]"
 
 
 def recording_cases():
@@ -775,7 +775,7 @@ class TestRecording:
         for mask in itertools.product((False, True), repeat=len(arrays)):
             if not any(mask):
                 continue
-            parents = [E.Parameter(a.astype(dtype), f"p{i}") if m else E.Tensor(a.astype(dtype))
+            parents = [E.Parameter(a.astype(dtype)) if m else E.Tensor(a.astype(dtype))
                        for i, (a, m) in enumerate(zip(arrays, mask))]
             out = fn(*parents)
             assert out.requires_grad and out._op == op
@@ -790,7 +790,7 @@ class TestRecording:
     def test_plain_parents_record_nothing(self, op, fn, arrays, dtype):
         out = fn(*[E.Tensor(a.astype(dtype)) for a in arrays])
         assert out._op == op and not out.requires_grad
-        assert out._parents == () and out._backward_fn is None
+        assert out._rules is None
 
 
 def test_recording_cases_cover_every_op():
@@ -822,8 +822,8 @@ class TestGradCheck:
         self.rng = np.random.default_rng(7)
 
     def test_small_net_passes(self):
-        w = E.Parameter(self.rng.standard_normal((3, 2, 3, 3)) * 0.4, "w")
-        b = E.Parameter(self.rng.standard_normal(3) * 0.1, "b")
+        w = E.Parameter(self.rng.standard_normal((3, 2, 3, 3)) * 0.4)
+        b = E.Parameter(self.rng.standard_normal(3) * 0.1)
         x = E.Tensor(self.rng.standard_normal((2, 2, 5, 6)))
 
         def fn():
@@ -834,7 +834,7 @@ class TestGradCheck:
     def test_detects_wrong_gradient(self):
         # one factor detached from the graph: analytic backward sees
         # d(p*c)/dp = c, numeric differences see d(p^2)/dp = 2p
-        p = E.Parameter(np.array([1.5]), "p")
+        p = E.Parameter(np.array([1.5]))
 
         def fn():
             frozen = E.Tensor(p.data.copy())
@@ -843,12 +843,12 @@ class TestGradCheck:
         assert E.grad_check(fn, [p], h=1e-5) > 1e-2
 
     def test_rejects_float32(self):
-        p = E.Parameter(np.zeros(2, dtype=np.float32), "p")
+        p = E.Parameter(np.zeros(2, dtype=np.float32))
         with pytest.raises(E.EngineError, match="float64"):
             E.grad_check(lambda: E.sum_all(p), [p])
 
     def test_rejects_bad_step(self):
-        p = E.Parameter(np.zeros(2), "p")
+        p = E.Parameter(np.zeros(2))
         with pytest.raises(E.EngineError, match="outside"):
             E.grad_check(lambda: E.sum_all(p), [p], h=1e-2)
 
@@ -872,7 +872,7 @@ class TestGradCheck:
         assert self.drop_path_check(0.0) < 1e-4
 
     def test_sampling_probes_subset(self):
-        p = E.Parameter(self.rng.standard_normal(50), "p")
+        p = E.Parameter(self.rng.standard_normal(50))
         err = E.grad_check(
             lambda: E.sum_all(E.gelu(p)), [p], h=1e-5, rng=self.rng, sample=5
         )

@@ -43,10 +43,10 @@ CONV_GOLDEN = {
 
 def conv_bits(cin, cout, groups, k, hp, wp):
     rng = np.random.default_rng(2024)
-    x = E.Parameter(rng.standard_normal((4, cin, hp, wp)).astype(np.float32), "x")
+    x = E.Parameter(rng.standard_normal((4, cin, hp, wp)).astype(np.float32))
     w = E.Parameter((rng.standard_normal((cout, cin // groups, k, k)) * 0.3)
-                    .astype(np.float32), "w")
-    b = E.Parameter(rng.standard_normal(cout).astype(np.float32), "b")
+                    .astype(np.float32))
+    b = E.Parameter(rng.standard_normal(cout).astype(np.float32))
     y = E.conv2d_valid(x, w, b, groups=groups)
     probe = E.Tensor(rng.standard_normal(y.shape).astype(np.float32))
     E.backward(E.sum_all(E.mul(y, probe)))
@@ -59,24 +59,8 @@ def test_conv_float32_bits(case):
     assert conv_bits(*shape) == want, f"OpenBLAS core {openblas_core()}"
 
 
-def test_one_epoch_checkpoint_bits(tmp_path):
-    code = cli.main([
-        "train", "--out", str(tmp_path), "--seed", "3",
-        "--set", "model.stage_dims=4,8", "--set", "model.depths=1,1",
-        "--set", "synth.n_lat=8", "--set", "synth.n_lon=16",
-        "--set", "data.train_days=16", "--set", "data.test_days=4",
-        "--set", "train.epochs=1", "--set", "train.batch_size=4",
-    ])
-    assert code == 0
-    blob = (tmp_path / "checkpoint.krna").read_bytes()
-    assert len(blob) == 11644
-    assert hashlib.sha256(blob).hexdigest() == (
-        "3591a37ddbb546d31a74a63a695ae61de900dac8db79d8d40213d0f60132a781"
-    ), f"OpenBLAS core {openblas_core()}"
-
-
 def one_epoch_checkpoint_sha256(out):
-    """Train the pinned one-epoch run above into out; its checkpoint's sha256."""
+    """Train the pinned one-epoch run into out; its checkpoint's sha256."""
     assert cli.main([
         "train", "--out", str(out), "--seed", "3",
         "--set", "model.stage_dims=4,8", "--set", "model.depths=1,1",
@@ -85,6 +69,14 @@ def one_epoch_checkpoint_sha256(out):
         "--set", "train.epochs=1", "--set", "train.batch_size=4",
     ]) == 0
     return hashlib.sha256((out / "checkpoint.krna").read_bytes()).hexdigest()
+
+
+def test_one_epoch_checkpoint_bits(tmp_path):
+    sha = one_epoch_checkpoint_sha256(tmp_path)
+    assert (tmp_path / "checkpoint.krna").stat().st_size == 11644
+    assert sha == (
+        "3591a37ddbb546d31a74a63a695ae61de900dac8db79d8d40213d0f60132a781"
+    ), f"OpenBLAS core {openblas_core()}"
 
 
 def test_one_epoch_checkpoint_bits_hold_at_numpy_x86_v2(tmp_path):

@@ -124,9 +124,6 @@ class TestBuild:
         assert "final.weight" in names
         assert names[-1] == "head.bias"
         assert len(names) == len(set(names))
-        # stamped onto the parameters themselves
-        for n, p in m.named_parameters():
-            assert p.name == n
 
     def test_param_count_matches_closed_form(self):
         for cfg in (toy_config(), toy_config(se_enabled=False),
@@ -285,6 +282,19 @@ class TestCheckpoint:
         for (na, pa), (nb, pb) in zip(m.named_parameters(), loaded.named_parameters()):
             assert na == nb
             assert pa.data.tobytes() == pb.data.tobytes()
+
+    def test_load_draws_stochastic_depth_from_its_seed(self, tmp_path):
+        # a loaded model's recorded forward drops the blocks the built one does
+        config = toy_config(depths=(2, 1), drop_path_rate=0.5, layer_scale_init=1.0)
+        x = self.rng.standard_normal((4, 4, 8, 16)).astype(np.float32)
+        path = tmp_path / "model.krna"
+        for seed in (0, 5):
+            built = build(config, seed=seed)
+            save_checkpoint(built, path)
+            want = built.forward(x).data.tobytes()
+            assert load_checkpoint(path, seed=seed).forward(x).data.tobytes() == want
+        # seed 5's weights loaded with the default seed draw seed 0's factors
+        assert load_checkpoint(path).forward(x).data.tobytes() != want
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.krna"

@@ -167,7 +167,7 @@ class TestPadOps:
         assert np.array_equal(got[1], oracle_pad(x[1], 1, PaddingMode.GEOCYCLIC))
 
     def test_gradient_scatter(self):
-        x = E.Parameter(self.rng.standard_normal((2, 4, 8)), "x")
+        x = E.Parameter(self.rng.standard_normal((2, 4, 8)))
         c = E.Tensor(self.rng.standard_normal((2, 8, 12)))
 
         def fn():

@@ -123,8 +123,7 @@ def test_conv_x_grad_is_forward_on_padded_g_bits(bsz, c, k, dh, dw, dtype, group
     g = rng.standard_normal((bsz, cout, dh + 1, dw + 1)).astype(dtype)
     g[rng.random(g.shape) < 0.5] = 0.0
     g[rng.random(g.shape) < 0.1] = -0.0
-    xt, wt, bt = (E.Parameter(a, n) for a, n in
-                  ((x, "x"), (w, "w"), (rng.standard_normal(cout).astype(dtype), "b")))
+    xt, wt, bt = (E.Parameter(a) for a in (x, w, rng.standard_normal(cout).astype(dtype)))
     y = E.conv2d_valid(xt, wt, bt, groups=groups)
     E.backward(E.sum_all(E.mul(y, E.Tensor(g))))
     wants = (x_grad_by_forward(w, g, groups),) + wb_grads_left_to_right(x, w, g, groups)
@@ -149,7 +148,7 @@ def depthwise_x_grad(w, g):
     """x.grad of depthwise conv2d_valid against upstream gradient g."""
     c, _, k, _ = w.shape
     bsz, _, ho, wo = g.shape
-    x = E.Parameter(np.ones((bsz, c, ho + k - 1, wo + k - 1), dtype=w.dtype), "x")
+    x = E.Parameter(np.ones((bsz, c, ho + k - 1, wo + k - 1), dtype=w.dtype))
     y = E.conv2d_valid(x, E.Tensor(w), E.Tensor(np.zeros(c, dtype=w.dtype)), groups=c)
     E.backward(E.sum_all(E.mul(y, E.Tensor(g))))
     return x.grad

@@ -1,5 +1,8 @@
-"""README's config examples parse, and every config key it names exists."""
+"""README's config examples parse, every config key it names exists, and
+its library example names only attributes the package has."""
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -34,6 +37,7 @@ def inline_spans(text):
 BLOCKS = config_blocks(README)
 SETTINGS = [span for span in inline_spans(README) if SETTING.fullmatch(span)]
 KEYS = sorted({span for span in inline_spans(README) if SECTION_KEY.fullmatch(span)})
+LIBRARY = re.search(r"^## Library use\n\n```python\n(.*?)^```", README, re.M | re.S).group(1)
 
 
 def test_readme_has_examples():
@@ -53,3 +57,19 @@ def test_inline_setting_parses(setting):
 @pytest.mark.parametrize("key", KEYS)
 def test_named_key_exists(key):
     assert key in cli.SCHEMA
+
+
+def test_library_example_names_existing_attributes():
+    # compiled, not run: at its size the example trains for about 15 s
+    tree = compile(LIBRARY, "README.md", "exec", ast.PyCF_ONLY_AST)
+    modules = {alias.name: importlib.import_module(f"karina.{alias.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "karina"
+               for alias in node.names}
+    assert sorted(modules) == ["data", "model", "rollout", "training"]
+    named = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules}
+    assert len(named) > len(modules)
+    assert sorted(f"{mod}.{attr}" for mod, attr in named
+                  if not hasattr(modules[mod], attr)) == []

@@ -168,6 +168,16 @@ class TestComposition:
         model.parameters()[0].data[0] += 1.0
         assert R.model_fingerprint(model) != a
 
+    @pytest.mark.parametrize("changes, seed, want", [
+        ({}, 0, "d8e9e6960e56229f"),
+        ({"se_enabled": False, "drop_path_rate": 0.1}, 7, "2a44a611c05ceedf"),
+    ])
+    def test_fingerprint_pinned(self, changes, seed, want):
+        # the CLI prints this id and perfbench's forecast manifest checks it
+        cfg = M.ModelConfig(in_channels=4, out_channels=4, stage_dims=(8, 16),
+                            depths=(1, 1), **changes)
+        assert R.model_fingerprint(M.build(cfg, seed=seed)) == want
+
 
 class TestBlowup:
     def test_std_tripwire_returns_finite_prefix(self):

@@ -110,7 +110,7 @@ class TestL2Loss:
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(10)
-        p = E.Parameter(rng.standard_normal((2, 3, 4)), name="p")
+        p = E.Parameter(rng.standard_normal((2, 3, 4)))
         t = E.Tensor(rng.standard_normal((2, 3, 4)))
         w = rng.uniform(0.5, 1.5, (2, 3, 4))
         for weights in (None, w):
@@ -120,24 +120,24 @@ class TestL2Loss:
 
 class TestAdamWStep:
     def test_zero_grads_no_decay_leave_params_unchanged(self):
-        p = E.Parameter(np.array([1.0, -2.0, 3.0]), name="w")
+        p = E.Parameter(np.array([1.0, -2.0, 3.0]))
         p.grad = np.zeros(3)
         before = p.data.tobytes()
-        T.adamw_step([p], T.OptimizerState(), lr=0.01, weight_decay=0.0)
+        T.adamw_step(T.OptimizerState([("w", p)]), lr=0.01, weight_decay=0.0)
         assert p.data.tobytes() == before
 
     def test_zero_grads_with_decay_scale_by_factor(self):
-        p = E.Parameter(np.array([1.0, -2.0, 3.0]), name="w")
+        p = E.Parameter(np.array([1.0, -2.0, 3.0]))
         p.grad = np.zeros(3)
         want = p.data * (1.0 - 0.01 * 0.1)
-        T.adamw_step([p], T.OptimizerState(), lr=0.01, weight_decay=0.1)
+        T.adamw_step(T.OptimizerState([("w", p)]), lr=0.01, weight_decay=0.1)
         assert np.array_equal(p.data, want)
 
     def test_pencil_and_paper_single_step(self):
         # theta=1, g=0.5, betas (0.9, 0.999), lr 1e-3, wd 0
-        p = E.Parameter(np.array([1.0]), name="w")
+        p = E.Parameter(np.array([1.0]))
         p.grad = np.array([0.5])
-        T.adamw_step([p], T.OptimizerState(), lr=1e-3, weight_decay=0.0)
+        T.adamw_step(T.OptimizerState([("w", p)]), lr=1e-3, weight_decay=0.0)
         m = 0.1 * 0.5
         v = 0.001 * 0.25
         mhat = m / (1 - 0.9)
@@ -149,11 +149,11 @@ class TestAdamWStep:
         rng = np.random.default_rng(11)
         theta0 = rng.standard_normal((3, 2))
         grads = [rng.standard_normal((3, 2)) for _ in range(5)]
-        p = E.Parameter(theta0.copy(), name="w")
-        state = T.OptimizerState()
+        p = E.Parameter(theta0.copy())
+        state = T.OptimizerState([("w", p)])
         for g in grads:
             p.grad = g.copy()
-            T.adamw_step([p], state, lr=0.01, weight_decay=0.0)
+            T.adamw_step(state, lr=0.01, weight_decay=0.0)
         want = adam_reference(theta0, grads, 0.01, (0.9, 0.999), 1e-8)
         assert np.array_equal(p.data, want)
 
@@ -161,51 +161,43 @@ class TestAdamWStep:
         rng = np.random.default_rng(12)
         theta0 = rng.standard_normal(4)
         grads = [rng.standard_normal(4) for _ in range(4)]
-        p = E.Parameter(theta0.copy(), name="w")
-        state = T.OptimizerState()
+        p = E.Parameter(theta0.copy())
+        state = T.OptimizerState([("w", p)])
         for g in grads:
             p.grad = g.copy()
-            T.adamw_step([p], state, lr=0.02, weight_decay=0.05)
+            T.adamw_step(state, lr=0.02, weight_decay=0.05)
         want = adam_reference(theta0, grads, 0.02, (0.9, 0.999), 1e-8, wd=0.05)
         assert np.array_equal(p.data, want)
 
     def test_missing_grad_names_parameter(self):
-        p = E.Parameter(np.zeros(2), name="stem.conv.weight")
+        p = E.Parameter(np.zeros(2))
         with pytest.raises(T.TrainingError, match="stem.conv.weight"):
-            T.adamw_step([p], T.OptimizerState(), lr=0.01)
-
-    def test_duplicate_names_rejected(self):
-        a = E.Parameter(np.zeros(2), name="w")
-        b = E.Parameter(np.ones(2), name="w")
-        a.grad = np.zeros(2)
-        b.grad = np.zeros(2)
-        with pytest.raises(T.TrainingError, match="unique"):
-            T.adamw_step([a, b], T.OptimizerState(), lr=0.01)
+            T.adamw_step(T.OptimizerState([("stem.conv.weight", p)]), lr=0.01)
 
     def test_step_decreases_isolated_quadratic(self):
         # f(theta) = sum theta^2, minimized at 0; small lr must descend
-        p = E.Parameter(np.array([0.7, -1.3]), name="w")
-        state = T.OptimizerState()
+        p = E.Parameter(np.array([0.7, -1.3]))
+        state = T.OptimizerState([("w", p)])
         f0 = float((p.data ** 2).sum())
         p.grad = 2.0 * p.data
-        T.adamw_step([p], state, lr=1e-3, weight_decay=0.0)
+        T.adamw_step(state, lr=1e-3, weight_decay=0.0)
         f1 = float((p.data ** 2).sum())
         assert f1 < f0
 
     def test_zero_lr_leaves_params_bit_identical(self):
         rng = np.random.default_rng(13)
-        p = E.Parameter(rng.standard_normal(6), name="w")
+        p = E.Parameter(rng.standard_normal(6))
         p.grad = rng.standard_normal(6)
         before = p.data.tobytes()
-        T.adamw_step([p], T.OptimizerState(), lr=0.0, weight_decay=0.05)
+        T.adamw_step(T.OptimizerState([("w", p)]), lr=0.0, weight_decay=0.05)
         assert p.data.tobytes() == before
 
     def test_step_count_increments(self):
-        p = E.Parameter(np.zeros(2), name="w")
-        state = T.OptimizerState()
+        p = E.Parameter(np.zeros(2))
+        state = T.OptimizerState([("w", p)])
         for want in (1, 2, 3):
             p.grad = np.ones(2)
-            T.adamw_step([p], state, lr=1e-3)
+            T.adamw_step(state, lr=1e-3)
             assert state.step_count == want
 
 
@@ -255,11 +247,11 @@ class TestTrainLoop:
 
     def test_zero_lr_run_keeps_params_bit_identical(self):
         model = M.KarinaModel(tiny_config(), seed=4)
-        before = {p.name: p.data.tobytes() for p in model.parameters()}
+        before = {name: p.data.tobytes() for name, p in model.named_parameters()}
         pairs = make_pairs(np.random.default_rng(21), 4)
         cfg = T.TrainConfig(lr=0.0, lr_min=0.0, epochs=2, batch_size=2, seed=1)
         T.train(model, pairs, cfg)
-        after = {p.name: p.data.tobytes() for p in model.parameters()}
+        after = {name: p.data.tobytes() for name, p in model.named_parameters()}
         assert before == after
 
     def test_same_seed_gives_identical_curves_and_weights(self):
@@ -270,7 +262,7 @@ class TestTrainLoop:
             cfg = T.TrainConfig(lr=1e-3, epochs=3, batch_size=2, seed=9)
             rep = T.train(model, pairs, cfg)
             curves.append([r.train_loss for r in rep.records])
-            weights.append({p.name: p.data.tobytes() for p in model.parameters()})
+            weights.append({name: p.data.tobytes() for name, p in model.named_parameters()})
         assert curves[0] == curves[1]
         assert weights[0] == weights[1]
 
@@ -345,13 +337,13 @@ class TestTrainLoop:
 
         E.zero_grads(params)
         E.backward(T.l2_loss(model.forward(x), E.Tensor(y)))
-        full = {p.name: p.grad.tobytes() for p in params}
+        full = {name: p.grad.tobytes() for name, p in model.named_parameters()}
 
         E.zero_grads(params)
         for k in range(4):
             loss = T.l2_loss(model.forward(x[k:k + 1]), E.Tensor(y[k:k + 1]))
             E.backward(E.scale(loss, 0.25))
-        micro = {p.name: p.grad.tobytes() for p in params}
+        micro = {name: p.grad.tobytes() for name, p in model.named_parameters()}
         assert full == micro
 
     def test_report_csv_round_trip_and_determinism(self, tmp_path):
@@ -496,8 +488,8 @@ class TestFinetune:
         rep2 = T.finetune(m2, src, cfg, phases=[T.FinetunePhase((0,), cfg.lr)])
 
         assert [r.train_loss for r in rep1.records] == [r.train_loss for r in rep2.records]
-        w1 = {p.name: p.data.tobytes() for p in m1.parameters()}
-        w2 = {p.name: p.data.tobytes() for p in m2.parameters()}
+        w1 = {name: p.data.tobytes() for name, p in m1.named_parameters()}
+        w2 = {name: p.data.tobytes() for name, p in m2.named_parameters()}
         assert w1 == w2
 
     def test_phases_run_sequentially_with_their_rates(self):
